@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .factor import factorize
 from .field import FieldElement, FieldSpec
-from .matrix import (SquareMatrix, _vector_order, poly_times_vector,
-                     row_echelon)
+from .matrix import SquareMatrix, _conductor, poly_times_vector, row_echelon
 from .poly import Polynomial
 
 
@@ -63,56 +62,8 @@ def companion_block_diagonal(field: FieldSpec, blocks) -> SquareMatrix:
 
 def vector_order(M: SquareMatrix, v) -> Polynomial:
     """Monic generator of the annihilator {f : f(M) v = 0}."""
-    return _vector_order(M, v)
-
-
-def _reduce_mod(field, vec, rref_rows, pivots):
-    """Reduce a vector against RREF rows; returns the residual."""
-    sub, mul = field.sub, field.mul
-    cur = list(vec)
-    for row, pc in zip(rref_rows, pivots):
-        c = cur[pc]
-        if c:
-            for t, rv in enumerate(row):
-                if rv:
-                    cur[t] = sub(cur[t], mul(c, rv))
-    return cur
-
-
-def _conductor(M, v, wrref, wpivots):
-    """(coeffs of the order of v in the quotient by span(W), raw Krylov list).
-
-    The order is the monic minimal f with f(M) v in span(W); coeffs ascending.
-    """
-    field = M.field
-    n = M.n
-    sub, mul, inv = field.sub, field.mul, field.inv
-    rows = []  # (pivot, reduced residual, combination over Krylov powers)
-    kry = [list(v)]
-    j = 0
-    while True:
-        cur = _reduce_mod(field, kry[j], wrref, wpivots)
-        comb = [0] * (j + 1)
-        comb[j] = 1
-        for pivot, rv, rc in rows:
-            c = cur[pivot]
-            if c:
-                for t in range(n):
-                    if rv[t]:
-                        cur[t] = sub(cur[t], mul(c, rv[t]))
-                for t, x in enumerate(rc):
-                    if x:
-                        comb[t] = sub(comb[t], mul(c, x))
-        pivot = next((t for t, c in enumerate(cur) if c), None)
-        if pivot is None:
-            # sum(comb[t] M^t v) lies in span(W) and comb[j] = 1, so comb
-            # is the monic conductor itself
-            return list(comb), kry
-        ic = inv(cur[pivot])
-        rows.append((pivot, [mul(c, ic) for c in cur],
-                     [mul(c, ic) for c in comb]))
-        kry.append(list(M.apply(kry[j])))
-        j += 1
+    v = [c.index if isinstance(c, FieldElement) else c for c in v]
+    return Polynomial._raw(M.field, _conductor(M, v, [], [])[0])
 
 
 def _solve_columns(field, cols, target):

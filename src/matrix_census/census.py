@@ -14,7 +14,6 @@ exact Fraction.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,10 +25,6 @@ from .matrix import SquareMatrix
 from .poly import Polynomial, monic_polys
 
 DEFAULT_ENUMERATION_BUDGET = 2 ** 26
-
-# Test hook: a nonzero offset deliberately corrupts the closed-form counts so
-# the suite can confirm that verification really fails on a wrong formula.
-_TEST_FORMULA_OFFSET = 0
 
 
 @dataclass(frozen=True)
@@ -89,17 +84,6 @@ def gl_order(q: int, n: int) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _count_irreducible_pure(q: int, n: int) -> int:
-    qn = q ** n
-    out = 1
-    for i in range(1, n):
-        out *= qn - q ** i
-    num = gl_order(q, n)
-    assert out * (qn - 1) == num
-    return out
-
-
 def count_irreducible_case(q: int, n: int) -> int:
     """Matrices with a prescribed irreducible characteristic polynomial:
     prod_{i=1}^{n-1} (q^n - q^i), independent of which irreducible it is."""
@@ -107,7 +91,12 @@ def count_irreducible_case(q: int, n: int) -> int:
         raise ValueError("field order must be an integer >= 2")
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
-    return _count_irreducible_pure(q, n) + _TEST_FORMULA_OFFSET
+    qn = q ** n
+    out = 1
+    for i in range(1, n):
+        out *= qn - q ** i
+    assert out * (qn - 1) == gl_order(q, n)
+    return out
 
 
 def count_with_charpoly(g: Polynomial, *, seed: int = 0) -> int:
@@ -121,38 +110,41 @@ def count_with_charpoly(g: Polynomial, *, seed: int = 0) -> int:
         raise ValueError("characteristic polynomial must have degree >= 1")
     if not g.is_monic:
         raise ValueError("characteristic polynomial must be monic")
-    q = g.field.q
-    n = g.degree
-    fact = factorize(g, seed=seed)
-    num = gl_order(q, n) * q ** (sum(f.degree * m * m for f, m in fact.factors) - n)
+    return _count_from_factors(g.field.q, g.degree,
+                               factorize(g, seed=seed).factors)
+
+
+def _count_from_factors(q: int, n: int, factors) -> int:
+    """count_with_charpoly for a degree-n charpoly with the given
+    (monic irreducible, multiplicity) factors."""
+    num = gl_order(q, n) * q ** (sum(f.degree * m * m for f, m in factors) - n)
     den = 1
-    for f, m in fact.factors:
+    for f, m in factors:
         den *= gl_order(q ** f.degree, m)
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(
+            f"count formula does not divide exactly: {num} / {den}")
     count = num // den
     if __debug__:
         rat = Fraction(q ** (n * n - n)) * f_product(q, n)
-        for f, m in fact.factors:
+        for f, m in factors:
             rat /= f_product(q ** f.degree, m)
         assert rat == count, "rational and integer forms disagree"
-        if len(fact.factors) == 1 and fact.factors[0][1] == 1:
-            assert count == _count_irreducible_pure(q, n)
-    return count + _TEST_FORMULA_OFFSET
+        if len(factors) == 1 and factors[0][1] == 1:
+            assert count == count_irreducible_case(q, n)
+    return count
 
 
-def _census_chunk(field: FieldSpec, n: int, start: int, stop: int) -> dict:
-    """Tally charpoly coefficient tuples (descending) over an index range."""
+def _census_chunk(field: FieldSpec, n: int) -> dict:
+    """Tally charpoly coefficient tuples (descending) over every n x n
+    matrix, walked in matrix-index order."""
     q = field.q
     add, mul, neg = field.index_tables()
     counts = {}
     n2 = n * n
-    a = []
-    t = start
-    for _ in range(n2):
-        a.append(t % q)
-        t //= q
+    a = [0] * n2
     row_off = [i * n for i in range(n)]
-    for _ in range(start, stop):
+    for _ in range(q ** n2):
         p = [1]
         for i in range(n):
             ro = row_off[i]
@@ -209,12 +201,12 @@ def _census_chunk(field: FieldSpec, n: int, start: int, stop: int) -> dict:
 
 def census_bruteforce(spec: FieldSpec, n: int, *,
                       budget: int = DEFAULT_ENUMERATION_BUDGET,
-                      threads: int = 1,
-                      chunk_size: int = 1 << 14) -> CensusReport:
+                      threads: int = 1) -> CensusReport:
     """Enumerate every n x n matrix by index and tally charpolys.
 
-    Workers own disjoint index ranges with private histograms; the merged
-    report is identical for any chunking or thread count.
+    The walk is serial.  ``threads`` is accepted for compatibility and not
+    used: the kernel is pure Python, so under the interpreter lock a thread
+    pool ran slower than one thread.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
@@ -224,37 +216,23 @@ def census_bruteforce(spec: FieldSpec, n: int, *,
         raise BudgetError(
             f"census of {q}^{n * n} = {total} matrices exceeds the "
             f"budget {budget}")
-    merged = {}
     if n == 1:
-        # charpoly of [c] is x - c; still an honest walk over every matrix
+        # charpoly of [c] is x - c; table-free, so it also covers fields
+        # past the flat-table cap
         neg = spec.neg
+        tally = {}
         for c in range(total):
             key = (1, neg(c))
-            merged[key] = merged.get(key, 0) + 1
-        polys = sorted(
-            (Polynomial._raw(spec, list(reversed(key))) for key in merged),
-            key=Polynomial.sort_key)
-        entries = {g: merged[tuple(reversed(g.coeff_indices))] for g in polys}
-        return CensusReport(q, 1, entries, sum(entries.values()))
-    ranges = [(s, min(s + chunk_size, total))
-              for s in range(0, total, chunk_size)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = pool.map(
-                lambda r: _census_chunk(spec, n, r[0], r[1]), ranges)
-            for part in partials:
-                for key, c in part.items():
-                    merged[key] = merged.get(key, 0) + c
+            tally[key] = tally.get(key, 0) + 1
     else:
-        for s, e in ranges:
-            for key, c in _census_chunk(spec, n, s, e).items():
-                merged[key] = merged.get(key, 0) + c
+        tally = _census_chunk(spec, n)
     polys = sorted(
-        (Polynomial._raw(spec, list(reversed(key))) for key in merged),
+        (Polynomial._raw(spec, list(reversed(key))) for key in tally),
         key=Polynomial.sort_key)
-    entries = {g: merged[tuple(reversed(g.coeff_indices))] for g in polys}
+    entries = {g: tally[tuple(reversed(g.coeff_indices))] for g in polys}
     got = sum(entries.values())
-    assert got == total, "census lost matrices"
+    if got != total:
+        raise RuntimeError(f"census tallied {got} of {total} matrices")
     return CensusReport(q, n, entries, got)
 
 

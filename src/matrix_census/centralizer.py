@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError
 from .factor import is_irreducible
-from .field import FieldSpec
-from .matrix import SquareMatrix, nullspace, row_echelon
+from .matrix import SquareMatrix, _reduce_mod, nullspace, row_echelon
 
 DEFAULT_SPAN_BUDGET = 2 ** 20
 
@@ -66,12 +65,19 @@ def centralizer_unit_count(M: SquareMatrix, *,
     q^n - 1 when charpoly(M) is irreducible; otherwise every element of the
     span of the centralizer basis is enumerated and tested for full rank.
     """
+    return _unit_count(M, None, budget, force_enumeration)
+
+
+def _unit_count(M, desc, budget, force_enumeration=False) -> int:
+    """centralizer_unit_count, with desc = centralizer(M) if already solved
+    (None to solve it only when the span walk needs it)."""
     field = M.field
     q = field.q
     n = M.n
     if not force_enumeration and is_irreducible(M.charpoly()):
         return q ** n - 1
-    desc = centralizer(M)
+    if desc is None:
+        desc = centralizer(M)
     d = desc.dimension
     total = q ** d
     if total > budget:
@@ -79,7 +85,7 @@ def centralizer_unit_count(M: SquareMatrix, *,
             f"centralizer span of size {q}^{d} = {total} exceeds the "
             f"budget {budget}")
     bases = [b.flat_indices for b in desc.basis]
-    add, mul, sub = field.add, field.mul, field.sub
+    add = field.add
     n2 = n * n
     cur = [0] * n2
     digits = [0] * d
@@ -105,31 +111,23 @@ def centralizer_unit_count(M: SquareMatrix, *,
 
 def is_polynomial_centralizer(M: SquareMatrix) -> bool:
     """Whether C(M) is exactly the polynomial algebra generated by M."""
+    return _is_polynomial_centralizer(M, centralizer(M))
+
+
+def _is_polynomial_centralizer(M, desc) -> bool:
+    """is_polynomial_centralizer with desc = centralizer(M) already solved."""
     field = M.field
-    n = M.n
-    mp = M.minpoly()
-    d = mp.degree
-    desc = centralizer(M)
+    d = M.minpoly().degree
     if desc.dimension != d:
         return False
     power_rows = []
-    P = SquareMatrix.identity(field, n)
+    P = SquareMatrix.identity(field, M.n)
     for _ in range(d):
         power_rows.append(list(P.flat_indices))
         P = P * M
     rref, pivots = row_echelon(field, power_rows)
-    sub, mul = field.sub, field.mul
-    for b in desc.basis:
-        cur = list(b.flat_indices)
-        for row, pc in zip(rref, pivots):
-            c = cur[pc]
-            if c:
-                for t, rv in enumerate(row):
-                    if rv:
-                        cur[t] = sub(cur[t], mul(c, rv))
-        if any(cur):
-            return False
-    return True
+    return not any(any(_reduce_mod(field, b.flat_indices, rref, pivots))
+                   for b in desc.basis)
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,7 +163,6 @@ def invariant_subspaces(M: SquareMatrix, dimension_cap: int | None = None, *,
         raise BudgetError(
             f"{candidates} candidate subspaces exceed the budget "
             f"{max_subspaces}")
-    sub, mul = field.sub, field.mul
     out = []
     for r in range(1, cap + 1):
         for pivots in itertools.combinations(range(n), r):
@@ -181,18 +178,7 @@ def invariant_subspaces(M: SquareMatrix, dimension_cap: int | None = None, *,
                     rows[i][pc] = 1
                 for (i, j), v in zip(free_pos, values):
                     rows[i][j] = v
-                ok = True
-                for v in rows:
-                    img = list(M.apply(v))
-                    for row, pc in zip(rows, pivots):
-                        c = img[pc]
-                        if c:
-                            for t, rv in enumerate(row):
-                                if rv:
-                                    img[t] = sub(img[t], mul(c, rv))
-                    if any(img):
-                        ok = False
-                        break
-                if ok:
+                if not any(any(_reduce_mod(field, M.apply(v), rows, pivots))
+                           for v in rows):
                     out.append(tuple(tuple(v) for v in rows))
     return out

@@ -19,12 +19,11 @@ import os
 import sys
 import time
 
-from . import census as census_mod
 from .canonical import rcf
-from .centralizer import (DEFAULT_SPAN_BUDGET, centralizer,
-                          centralizer_unit_count, is_polynomial_centralizer)
-from .census import (DEFAULT_ENUMERATION_BUDGET, census_bruteforce,
-                     count_irreducible_case, count_with_charpoly, gl_order,
+from .centralizer import (DEFAULT_SPAN_BUDGET, _is_polynomial_centralizer,
+                          _unit_count, centralizer)
+from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
+                     census_bruteforce, count_irreducible_case,
                      orbit_stabilizer_report, verify_partition)
 from .errors import BudgetError, ParseError
 from .factor import factorize, is_irreducible
@@ -88,8 +87,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
                    help="enumeration budget")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"census worker count (default {ENV_THREADS} "
-                        "or machine parallelism)")
+                   help=f"recorded in params.threads (default {ENV_THREADS} "
+                        "or machine parallelism); the census runs in one "
+                        "thread")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv prints the count table instead of the envelope")
 
@@ -163,7 +163,7 @@ def _cmd_count(args):
             raise ValueError("count needs a monic polynomial of degree >= 1")
         fact = factorize(g, seed=args.seed)
         irred = len(fact.factors) == 1 and fact.factors[0][1] == 1
-        count = count_with_charpoly(g, seed=args.seed)
+        count = _count_from_factors(field.q, g.degree, fact.factors)
         params["n"] = g.degree
         params["poly"] = format_poly(g)
         result = {
@@ -271,7 +271,7 @@ def _cmd_centralizer(args):
     M = parse_matrix(args.matrix, field)
     desc = centralizer(M)
     try:
-        units = centralizer_unit_count(M, budget=args.budget)
+        units = _unit_count(M, desc, args.budget)
     except BudgetError:
         units = None
     params = {"field": _field_params(field), "n": M.n,
@@ -282,7 +282,7 @@ def _cmd_centralizer(args):
         "order": str(desc.order),
         "basis": [format_matrix(b) for b in desc.basis],
         "unit_count": None if units is None else str(units),
-        "is_polynomial_centralizer": is_polynomial_centralizer(M),
+        "is_polynomial_centralizer": _is_polynomial_centralizer(M, desc),
     }
     return params, result
 

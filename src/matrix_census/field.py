@@ -19,7 +19,9 @@ from .errors import BudgetError, ParseError
 
 DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 
-# Fields up to this order get dense add/mul tables at construction time.
+# Extension fields up to this order bind their ops to dense tables at
+# construction: decode/encode arithmetic is far slower than a lookup, while
+# over a prime field the modular ops are as fast as the tables.
 _EAGER_TABLE_CAP = 128
 # Hard cap for the flat tables handed to table-driven kernels.
 _TABLE_CAP = 1024
@@ -99,8 +101,9 @@ class FieldSpec:
     """The field GF(p^k) with its canonical integer element encoding.
 
     ``add``, ``sub``, ``mul``, ``neg`` and ``inv`` are callables taking and
-    returning element indices; they are bound to dense table lookups for small
-    fields.  Instances are immutable after construction and safe to share.
+    returning element indices.  Prime fields use modular arithmetic; small
+    extension fields use dense table lookups.  The ops never change after
+    construction, so instances are safe to share.
     """
 
     def __init__(self, p: int, k: int = 1, *,
@@ -119,8 +122,8 @@ class FieldSpec:
         self.modulus = None if k == 1 else self._find_modulus(p, k)
         self._tables = None
         self._bind_ops()
-        if q <= _EAGER_TABLE_CAP:
-            self._bind_tables(self._build_tables())
+        if k > 1 and q <= _EAGER_TABLE_CAP:
+            self._bind_tables()
 
     @staticmethod
     def _find_modulus(p: int, k: int) -> tuple:
@@ -167,9 +170,6 @@ class FieldSpec:
                 v = v * _p + c
             return v
 
-        self._decode = decode
-        self._encode = encode
-
         def add(a, b):
             ca, cb = decode(a), decode(b)
             return encode([(x + y) % p for x, y in zip(ca, cb)])
@@ -193,23 +193,11 @@ class FieldSpec:
 
         self.add, self.sub, self.mul, self.neg, self.inv = add, sub, mul, neg, inv
 
-    def _build_tables(self):
+    def _bind_tables(self):
+        """Rebind the element ops to lookups in the flat tables."""
+        add_flat, mul_flat, neg_list = self.index_tables()
         q = self.q
-        add, mul, neg = self.add, self.mul, self.neg
-        add_flat = [0] * (q * q)
-        mul_flat = [0] * (q * q)
-        for a in range(q):
-            row = a * q
-            for b in range(q):
-                add_flat[row + b] = add(a, b)
-                mul_flat[row + b] = mul(a, b)
-        neg_list = [neg(a) for a in range(q)]
         inv_list = [0] + [self.inv(a) for a in range(1, q)]
-        return add_flat, mul_flat, neg_list, inv_list
-
-    def _bind_tables(self, tables):
-        add_flat, mul_flat, neg_list, inv_list = tables
-        q = self.q
         self.add = lambda a, b, _t=add_flat, _q=q: _t[a * _q + b]
         self.mul = lambda a, b, _t=mul_flat, _q=q: _t[a * _q + b]
         self.neg = lambda a, _t=neg_list: _t[a]
@@ -224,17 +212,23 @@ class FieldSpec:
 
         self.sub = sub
         self.inv = inv
-        self._tables = (add_flat, mul_flat, neg_list)
 
     def index_tables(self):
-        """Flat (add, mul, neg) lookup tables for table-driven kernels."""
+        """Flat (add, mul, neg) lookup tables for table-driven kernels.
+
+        Built on first use and cached; the element ops are left as they are.
+        """
         if self._tables is None:
-            if self.q > _TABLE_CAP:
+            q = self.q
+            if q > _TABLE_CAP:
                 raise BudgetError(
-                    f"field order {self.q} too large for table-driven "
+                    f"field order {q} too large for table-driven "
                     f"enumeration (cap {_TABLE_CAP})")
-            add_flat, mul_flat, neg_list, inv_list = self._build_tables()
-            self._bind_tables((add_flat, mul_flat, neg_list, inv_list))
+            add, mul = self.add, self.mul
+            self._tables = (
+                [add(a, b) for a in range(q) for b in range(q)],
+                [mul(a, b) for a in range(q) for b in range(q)],
+                [self.neg(a) for a in range(q)])
         return self._tables
 
     def pow(self, a: int, e: int) -> int:

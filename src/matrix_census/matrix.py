@@ -242,7 +242,7 @@ class SquareMatrix:
         for i in range(n):
             v = [0] * n
             v[i] = 1
-            order = _vector_order(self, v)
+            order = Polynomial._raw(field, _conductor(self, v, [], [])[0])
             g = result.gcd(order)
             result = (result * order) // g
             if result.degree == n:
@@ -339,18 +339,34 @@ def _berkowitz(field: FieldSpec, flat, n: int) -> list:
     return p
 
 
-def _vector_order(M: SquareMatrix, v) -> Polynomial:
-    """Monic generator of {f : f(M) v = 0}; the zero vector has order 1."""
+def _reduce_mod(field, vec, rref_rows, pivots):
+    """Reduce a vector against RREF rows; returns the residual."""
+    sub, mul = field.sub, field.mul
+    cur = list(vec)
+    for row, pc in zip(rref_rows, pivots):
+        c = cur[pc]
+        if c:
+            for t, rv in enumerate(row):
+                if rv:
+                    cur[t] = sub(cur[t], mul(c, rv))
+    return cur
+
+
+def _conductor(M, v, wrref, wpivots):
+    """(coeffs of the order of v in the quotient by span(W), raw Krylov list).
+
+    The order is the monic minimal f with f(M) v in span(W), given by the
+    RREF rows of W; coeffs ascending.  With W empty it is the order of v, and
+    the zero vector has order 1.
+    """
     field = M.field
     n = M.n
-    v = [c.index if isinstance(c, FieldElement) else c for c in v]
     sub, mul, inv = field.sub, field.mul, field.inv
-    # echelon rows of the Krylov flags, each with the combination that made it
-    rows = []  # (pivot, reduced vector, combination coeffs over v, Mv, ...)
-    u = list(v)
+    rows = []  # (pivot, reduced residual, combination over Krylov powers)
+    kry = [list(v)]
     j = 0
     while True:
-        cur = list(u)
+        cur = _reduce_mod(field, kry[j], wrref, wpivots)
         comb = [0] * (j + 1)
         comb[j] = 1
         for pivot, rv, rc in rows:
@@ -364,14 +380,13 @@ def _vector_order(M: SquareMatrix, v) -> Polynomial:
                         comb[t] = sub(comb[t], mul(c, x))
         pivot = next((t for t, c in enumerate(cur) if c), None)
         if pivot is None:
-            # dependency found: sum(comb[t] M^t v) = 0 with comb[j] = 1,
-            # so comb is the monic order itself
-            return Polynomial._raw(field, list(comb))
+            # sum(comb[t] M^t v) lies in span(W) and comb[j] = 1, so comb
+            # is the monic conductor itself
+            return list(comb), kry
         ic = inv(cur[pivot])
-        cur = [mul(c, ic) for c in cur]
-        comb = [mul(c, ic) for c in comb]
-        rows.append((pivot, cur, comb))
-        u = list(M.apply(u))
+        rows.append((pivot, [mul(c, ic) for c in cur],
+                     [mul(c, ic) for c in comb]))
+        kry.append(list(M.apply(kry[j])))
         j += 1
 
 

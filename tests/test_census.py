@@ -1,11 +1,15 @@
 """Counting formulas against the brute-force census and against each other."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 from fractions import Fraction
 
 import pytest
 
 import matrix_census as mc
-from matrix_census import census as census_mod
 from matrix_census.errors import BudgetError
 from matrix_census.poly import Polynomial
 
@@ -138,6 +142,62 @@ def test_census_threads_agree():
         assert rep.entries == base.entries and rep.total == base.total
 
 
+def test_census_starts_no_thread(monkeypatch):
+    # threads is accepted but unused: 19683 matrices, one serial walk
+    def refuse(self):
+        raise AssertionError("census started a thread")
+
+    base = mc.census_bruteforce(F3, 3, threads=1)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rep = mc.census_bruteforce(F3, 3, threads=2)
+    assert rep.entries == base.entries and rep.total == base.total
+
+
+def test_published_count_checks_survive_optimize():
+    # assert statements vanish under -O; these two checks must not
+    script = textwrap.dedent("""
+        import sys
+        from types import SimpleNamespace
+        import matrix_census as mc
+        from matrix_census import census
+
+        if __debug__:
+            sys.exit("not running under -O")
+        F2 = mc.make_field(2)
+        real_chunk = census._census_chunk
+
+        def lossy_chunk(field, n):
+            tally = real_chunk(field, n)
+            tally[next(iter(tally))] -= 1
+            return tally
+
+        census._census_chunk = lossy_chunk
+        try:
+            census.census_bruteforce(F2, 2)
+        except RuntimeError as exc:
+            print("census:", exc)
+        # a degree-3 charpoly reported as the square of a quadratic:
+        # 168 * 2^5 is not divisible by |GL_2(4)| = 180
+        quad = mc.parse_poly("x^2+x+1", F2)
+        census.factorize = lambda g, seed=0: SimpleNamespace(
+            factors=[(quad, 2)])
+        try:
+            census.count_with_charpoly(mc.parse_poly("x^3+x+1", F2))
+        except RuntimeError as exc:
+            print("count:", exc)
+    """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["census", "count"]
+
+
 def test_census_budget():
     with pytest.raises(BudgetError):
         mc.census_bruteforce(F2, 9)
@@ -201,17 +261,6 @@ def test_orbit_size_matches_explicit_conjugation_orbit():
 def test_orbit_stabilizer_requires_irreducible():
     with pytest.raises(ValueError):
         mc.orbit_stabilizer_report(mc.SquareMatrix.identity(F2, 2))
-
-
-def test_formula_offset_hook_shifts_counts(monkeypatch):
-    g = mc.parse_poly("x^2+x+1", F2)
-    base = mc.count_with_charpoly(g)
-    base_irr = mc.count_irreducible_case(2, 2)
-    monkeypatch.setattr(census_mod, "_TEST_FORMULA_OFFSET", 1)
-    assert mc.count_with_charpoly(g) == base + 1
-    assert mc.count_irreducible_case(2, 2) == base_irr + 1
-    monkeypatch.setattr(census_mod, "_TEST_FORMULA_OFFSET", 0)
-    assert mc.count_with_charpoly(g) == base
 
 
 def test_report_dataclasses_are_frozen():

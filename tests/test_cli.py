@@ -119,9 +119,16 @@ def test_verify_budget_exceeded(capsys):
     assert err.count("\n") == 1
 
 
+def _corrupt_formula(monkeypatch):
+    """Shift every closed-form count by one, as a wrong formula would."""
+    real = census_mod.count_with_charpoly
+    monkeypatch.setattr(census_mod, "count_with_charpoly",
+                        lambda g, **kw: real(g, **kw) + 1)
+
+
 def test_verify_corrupted_formula_fails(capsys, monkeypatch):
     # the exit code must faithfully follow the pass flag
-    monkeypatch.setattr(census_mod, "_TEST_FORMULA_OFFSET", 1)
+    _corrupt_formula(monkeypatch)
     code, doc = run_json(capsys, "verify", "--q", "2", "--n", "2",
                          "--mode", "both")
     assert code == 1
@@ -132,7 +139,7 @@ def test_verify_corrupted_formula_fails(capsys, monkeypatch):
 
 
 def test_verify_corrupted_formula_mode_formula(capsys, monkeypatch):
-    monkeypatch.setattr(census_mod, "_TEST_FORMULA_OFFSET", 1)
+    _corrupt_formula(monkeypatch)
     code, doc = run_json(capsys, "verify", "--q", "2", "--n", "2",
                          "--mode", "formula")
     assert code == 1

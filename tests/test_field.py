@@ -208,6 +208,13 @@ def test_index_tables_agree_with_ops():
                 assert mul_flat[a * q + b] == F.mul(a, b)
 
 
+def test_index_tables_leave_ops_bound():
+    for F in (mc.FieldSpec(3, 5), mc.FieldSpec(101)):  # built untabled
+        mul = F.mul
+        F.index_tables()
+        assert F.mul is mul
+
+
 def test_large_field_beyond_table_cap_still_works():
     F = mc.make_field(2053)  # prime above the flat-table cap
     assert F.mul(2052, 2052) == (2052 * 2052) % 2053
