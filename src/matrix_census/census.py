@@ -241,6 +241,12 @@ def verify_partition(spec: FieldSpec, n: int, *,
                      seed: int = 0) -> PartitionReport:
     """Sum the closed-form count over every monic degree-n polynomial and
     compare with q^(n^2).  No matrix enumeration is involved."""
+    return _verify_partition(spec, n, budget, seed)[0]
+
+
+def _verify_partition(spec: FieldSpec, n: int, budget: int, seed: int):
+    """verify_partition's report and the set of irreducible polynomials
+    among those it factored."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
     q = spec.q
@@ -248,12 +254,16 @@ def verify_partition(spec: FieldSpec, n: int, *,
         raise BudgetError(
             f"{q}^{n} = {q ** n} monic polynomials exceed the budget {budget}")
     entries = {}
+    irreducible = set()
     for g in monic_polys(spec, n):
-        entries[g] = count_with_charpoly(g, seed=seed)
+        factors = factorize(g, seed=seed).factors
+        entries[g] = _count_from_factors(q, n, factors)
+        if len(factors) == 1 and factors[0][1] == 1:
+            irreducible.add(g)
     entries = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
     lhs = sum(entries.values())
     rhs = q ** (n * n)
-    return PartitionReport(q, n, entries, lhs, rhs, lhs == rhs)
+    return PartitionReport(q, n, entries, lhs, rhs, lhs == rhs), irreducible
 
 
 def orbit_stabilizer_report(M: SquareMatrix) -> OrbitStabilizerReport:
@@ -266,7 +276,9 @@ def orbit_stabilizer_report(M: SquareMatrix) -> OrbitStabilizerReport:
     n = M.n
     stab = centralizer_unit_count(M)
     glo = gl_order(q, n)
-    assert glo % stab == 0
+    if glo % stab:
+        raise RuntimeError(
+            f"stabilizer order {stab} does not divide |GL_{n}({q})| = {glo}")
     orbit = glo // stab
     formula = count_irreducible_case(q, n)
     return OrbitStabilizerReport(

@@ -23,10 +23,10 @@ from .canonical import rcf
 from .centralizer import (DEFAULT_SPAN_BUDGET, _is_polynomial_centralizer,
                           _unit_count, centralizer)
 from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
-                     census_bruteforce, count_irreducible_case,
-                     orbit_stabilizer_report, verify_partition)
+                     _verify_partition, census_bruteforce,
+                     count_irreducible_case, orbit_stabilizer_report)
 from .errors import BudgetError, ParseError
-from .factor import factorize, is_irreducible
+from .factor import factorize
 from .field import (DEFAULT_FIELD_ORDER_BUDGET, field_from_order, is_prime,
                     make_field)
 from .matrix import format_matrix, parse_matrix
@@ -134,6 +134,21 @@ def _field_params(field):
     return {"p": field.p, "k": field.k, "q": field.q, "modulus": mod}
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length.  Python 3.11 refuses int -> str past
+    sys.get_int_max_str_digits() digits (4300 by default); the limit is
+    lifted for this conversion only."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # Python < 3.10.7 has no limit
+        return str(n)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _threads(args):
     if getattr(args, "threads", None) is not None:
         if args.threads < 1:
@@ -167,7 +182,7 @@ def _cmd_count(args):
         params["n"] = g.degree
         params["poly"] = format_poly(g)
         result = {
-            "count": str(count),
+            "count": _decimal(count),
             "formula": "theorem1" if irred else "general",
             "factorization": [[format_poly(f), m] for f, m in fact.factors],
         }
@@ -179,7 +194,7 @@ def _cmd_count(args):
         params["n"] = args.n
         params["poly"] = None
         result = {
-            "count": str(count_irreducible_case(field.q, args.n)),
+            "count": _decimal(count_irreducible_case(field.q, args.n)),
             "formula": "theorem1",
             "factorization": None,
         }
@@ -199,15 +214,14 @@ def _cmd_verify(args):
     q = field.q
     expected_total = q ** (n * n)
     mismatches = []
-    rows = []  # (poly text, census count or None, formula count or None)
     census = None
     partition = None
     if args.mode in ("bruteforce", "both"):
         census = census_bruteforce(field, n, budget=args.budget,
                                    threads=threads)
     if args.mode in ("formula", "both"):
-        partition = verify_partition(field, n, budget=args.budget,
-                                     seed=args.seed)
+        partition, irreducible = _verify_partition(field, n, args.budget,
+                                                   args.seed)
     if args.mode == "formula":
         ok = partition.equal
         total = partition.lhs_total
@@ -215,41 +229,53 @@ def _cmd_verify(args):
             mismatches.append({
                 "charpoly": None,
                 "census": None,
-                "formula": str(partition.lhs_total),
-                "expected": str(partition.rhs_total)})
-        rows = [(format_poly(g), None, str(c))
-                for g, c in partition.entries.items()]
+                "formula": _decimal(partition.lhs_total),
+                "expected": _decimal(partition.rhs_total)})
     elif args.mode == "bruteforce":
         total = census.total
         ok = total == expected_total
-        rows = [(format_poly(g), str(c), None)
-                for g, c in census.entries.items()]
     else:
         total = census.total
         ok = total == expected_total and partition.equal
+        irreducible_count = count_irreducible_case(q, n)
         for g, formula_count in partition.entries.items():
             got = census.entries.get(g, 0)
             row_ok = got == formula_count
-            if is_irreducible(g):
-                row_ok = row_ok and got == count_irreducible_case(q, n)
+            if g in irreducible:
+                row_ok = row_ok and got == irreducible_count
             if not row_ok:
                 ok = False
                 mismatches.append({
                     "charpoly": format_poly(g),
-                    "census": str(got),
-                    "formula": str(formula_count)})
-            rows.append((format_poly(g), str(got), str(formula_count)))
+                    "census": _decimal(got),
+                    "formula": _decimal(formula_count)})
         for g in census.entries:
             if g not in partition.entries:
                 ok = False
                 mismatches.append({
                     "charpoly": format_poly(g),
-                    "census": str(census.entries[g]),
+                    "census": _decimal(census.entries[g]),
                     "formula": None})
-    result = {"pass": ok, "total": str(total),
-              "expected_total": str(expected_total),
+    result = {"pass": ok, "total": _decimal(total),
+              "expected_total": _decimal(expected_total),
               "mismatches": mismatches}
-    return params, result, rows
+    return params, result, census, partition
+
+
+def _verify_csv(mode, census, partition) -> str:
+    """The count table of `verify --format csv`: one row per charpoly."""
+    polys = (partition if mode != "bruteforce" else census).entries
+    lines = [{"formula": "charpoly,formula",
+              "bruteforce": "charpoly,census",
+              "both": "charpoly,census,formula"}[mode]]
+    for g in polys:
+        cells = [format_poly(g)]
+        if census is not None:
+            cells.append(_decimal(census.entries.get(g, 0)))
+        if partition is not None:
+            cells.append(_decimal(partition.entries[g]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_rcf(args):
@@ -279,9 +305,9 @@ def _cmd_centralizer(args):
               "budget": args.budget}
     result = {
         "dimension": desc.dimension,
-        "order": str(desc.order),
+        "order": _decimal(desc.order),
         "basis": [format_matrix(b) for b in desc.basis],
-        "unit_count": None if units is None else str(units),
+        "unit_count": None if units is None else _decimal(units),
         "is_polynomial_centralizer": _is_polynomial_centralizer(M, desc),
     }
     return params, result
@@ -308,10 +334,10 @@ def _cmd_orbit(args):
               "matrix": format_matrix(M), "seed": args.seed}
     result = {
         "charpoly": format_poly(report.charpoly),
-        "gl_order": str(report.gl_order),
-        "stabilizer_order": str(report.stabilizer_order),
-        "orbit_size": str(report.orbit_size),
-        "formula_count": str(report.formula_count),
+        "gl_order": _decimal(report.gl_order),
+        "stabilizer_order": _decimal(report.stabilizer_order),
+        "orbit_size": _decimal(report.orbit_size),
+        "formula_count": _decimal(report.formula_count),
         "consistent": report.consistent,
     }
     return params, result
@@ -341,20 +367,9 @@ def run(argv=None) -> int:
         if args.command == "count":
             params, result = _cmd_count(args)
         elif args.command == "verify":
-            params, result, rows = _cmd_verify(args)
+            params, result, census, partition = _cmd_verify(args)
             if args.format == "csv":
-                header = {"formula": "charpoly,formula",
-                          "bruteforce": "charpoly,census",
-                          "both": "charpoly,census,formula"}[args.mode]
-                lines = [header]
-                for text, brute, formula in rows:
-                    cells = [text]
-                    if args.mode in ("bruteforce", "both"):
-                        cells.append(brute)
-                    if args.mode in ("formula", "both"):
-                        cells.append(formula)
-                    lines.append(",".join(cells))
-                sys.stdout.write("\n".join(lines) + "\n")
+                sys.stdout.write(_verify_csv(args.mode, census, partition))
                 return 0 if result["pass"] else 1
             _emit("verify", params, result, started, args.repro)
             return 0 if result["pass"] else 1

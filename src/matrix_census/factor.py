@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _prime_divisors
 from .poly import Polynomial
 
 
@@ -31,20 +31,6 @@ class Factorization:
     @property
     def degree(self) -> int:
         return sum(f.degree * m for f, m in self.factors)
-
-
-def _prime_divisors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def is_irreducible(f: Polynomial) -> bool:

@@ -9,22 +9,32 @@ callers that prefer operator syntax.
 For an extension field the modulus is the first monic irreducible polynomial
 of degree k in the ascending scan of coefficient vectors, so two constructions
 of GF(p^k) always agree on the representation.
+
+Prime fields compute on the indices modulo p.  Every extension field computes
+through log/antilog tables of size O(q) over its primitive element g, the
+smallest index of multiplicative order q - 1 (the residue of x is often not
+primitive: under the canonical modulus of GF(256) it has order 51).  A
+product is exp[log a + log b].  For p = 2 the index encoding is binary, so a
+sum is the XOR of the indices; for odd p a sum goes through the Zech
+logarithm zech[i] = log(1 + g^i) (Lidl and Niederreiter, *Finite Fields*,
+ch. 9).  The tables are built once per field, in O(q) steps, at
+construction.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import BudgetError, ParseError
 
 DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 
-# Extension fields up to this order bind their ops to dense tables at
-# construction: decode/encode arithmetic is far slower than a lookup, while
-# over a prime field the modular ops are as fast as the tables.
-_EAGER_TABLE_CAP = 128
 # Hard cap for the flat tables handed to table-driven kernels.
 _TABLE_CAP = 1024
+# Log tables up to this field order are lists, which index fastest; larger
+# ones stay packed 4-byte ints (GF(2^20): 20 MB, not 100).
+_LIST_TABLE_CAP = 2 ** 16
 
 
 def is_prime(n: int) -> bool:
@@ -41,26 +51,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _ints(n: int):
+    """n zeros packed as 4-byte ints, indexed like a list."""
+    return memoryview(bytearray(4 * n)).cast("i")
+
+
+def _prime_divisors(n: int) -> list:
+    """The distinct primes dividing n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # Helpers on polynomials over GF(p) represented as lists of ints, ascending
-# powers, no trailing zeros.  Used for the modulus search and for element
-# arithmetic in extension fields.
+# powers, no trailing zeros.  Used for the modulus search.
 
 def _pp_norm(f: list) -> list:
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _pp_mul(f: list, g: list, p: int) -> list:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return _pp_norm(out)
 
 
 def _pp_rem(f: list, g: list, p: int) -> list:
@@ -97,13 +114,119 @@ def _pp_is_irreducible(f: list, p: int) -> bool:
     return True
 
 
+def _shift_ops(p: int, k: int, modulus: tuple):
+    """(xtime, mul) on element indices of GF(p)[x]/(modulus), for building
+    the log tables: xtime(a) = x * a costs O(1) integer operations per
+    nonzero low coefficient of the modulus; mul(a, b) is shift and add over
+    the base-p digits of b, O(k) work per digit."""
+    if p == 2:
+        top = 1 << k
+        red = sum(c << i for i, c in enumerate(modulus))
+
+        def xtime(a):
+            a <<= 1
+            return a ^ red if a & top else a
+
+        def mul(a, b):
+            r = 0
+            for bit in bin(b)[2:]:
+                r = xtime(r)
+                if bit == "1":
+                    r ^= a
+            return r
+
+        return xtime, mul
+
+    low = modulus[:k]
+    weights = [p ** i for i in range(k)]
+    terms = [(weights[i], m) for i, m in enumerate(low) if m]
+
+    def xtime(a):
+        top, a = divmod(a, weights[-1])
+        a *= p
+        # subtract top * (modulus - x^k), one nonzero digit at a time
+        for w, m in terms:
+            d = a // w % p
+            a += ((d - top * m) % p - d) * w
+        return a
+
+    def mul(a, b):
+        ca = [a // w % p for w in weights]
+        r = [0] * k
+        while b:
+            b, d = divmod(b, p)
+            if d:
+                r = [(x + d * y) % p for x, y in zip(r, ca)]
+            if b:  # ca *= x
+                c = ca[-1]
+                ca = [0] + ca[:-1]
+                if c:
+                    ca = [(y - c * m) % p for y, m in zip(ca, low)]
+        return sum(map(operator.mul, r, weights))
+
+    return xtime, mul
+
+
+def _log_tables(p: int, k: int, modulus: tuple):
+    """(g, exp, log) for GF(p)[x]/(modulus): g is the smallest element index
+    of multiplicative order q - 1, exp[i] = g^i for 0 <= i < q - 1 and
+    log[exp[i]] = i."""
+    q = p ** k
+    n1 = q - 1
+    xtime, mul = _shift_ops(p, k, modulus)
+
+    def power(a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
+
+    # indices below p are the prime field, of order dividing p - 1
+    primes = _prime_divisors(n1)
+    g = next(c for c in range(p, q)
+             if all(power(c, n1 // r) != 1 for r in primes))
+    # Walk the powers of x (index p), O(1) per step, over the u cosets of
+    # the subgroup <x> of order d.  With g^u = x^v, x = g^s for
+    # s = u * v^-1 mod d, so h * x^j = g^(r + s*j) in the coset of h = g^r.
+    d = n1
+    for r in primes:
+        while d % r == 0 and power(p, d // r) == 1:
+            d //= r
+    u = n1 // d
+    gu = power(g, u)
+    a, v = 1, 0
+    while a != gu:
+        a = xtime(a)
+        v += 1
+    s = u * pow(v, -1, d)
+    exp = _ints(n1)
+    log = _ints(q)  # zero has no logarithm; see _bind_logs
+    h = 1
+    for r in range(u):
+        a, i = h, r
+        for _ in range(d):
+            exp[i] = a
+            log[a] = i
+            a = xtime(a)
+            i += s
+            if i >= n1:
+                i -= n1
+        h = mul(h, g)
+    return g, exp, log
+
+
 class FieldSpec:
     """The field GF(p^k) with its canonical integer element encoding.
 
     ``add``, ``sub``, ``mul``, ``neg`` and ``inv`` are callables taking and
-    returning element indices.  Prime fields use modular arithmetic; small
-    extension fields use dense table lookups.  The ops never change after
-    construction, so instances are safe to share.
+    returning element indices, bound once at construction and never changed,
+    so instances are safe to share.  Prime fields use modular arithmetic.
+    Extension fields use log/antilog tables over ``primitive``, the smallest
+    element index of multiplicative order q - 1 (None for prime fields);
+    building them costs O(q) time and memory.
     """
 
     def __init__(self, p: int, k: int = 1, *,
@@ -120,10 +243,12 @@ class FieldSpec:
         self.k = k
         self.q = q
         self.modulus = None if k == 1 else self._find_modulus(p, k)
+        self.primitive = None
         self._tables = None
-        self._bind_ops()
-        if k > 1 and q <= _EAGER_TABLE_CAP:
-            self._bind_tables()
+        if k == 1:
+            self._bind_modular()
+        else:
+            self._bind_logs()
 
     @staticmethod
     def _find_modulus(p: int, k: int) -> tuple:
@@ -139,79 +264,78 @@ class FieldSpec:
                 return tuple(coeffs)
         raise AssertionError("no irreducible modulus found")  # unreachable
 
-    def _bind_ops(self):
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            self.add = lambda a, b, _p=p: (a + b) % _p
-            self.sub = lambda a, b, _p=p: (a - b) % _p
-            self.mul = lambda a, b, _p=p: (a * b) % _p
-            self.neg = lambda a, _p=p: (-a) % _p
+    def _bind_modular(self):
+        p = self.p
+        self.add = lambda a, b, _p=p: (a + b) % _p
+        self.sub = lambda a, b, _p=p: (a - b) % _p
+        self.mul = lambda a, b, _p=p: (a * b) % _p
+        self.neg = lambda a, _p=p: (-a) % _p
 
-            def inv(a, _p=p):
-                if a == 0:
-                    raise ZeroDivisionError("inverse of zero field element")
-                return pow(a, _p - 2, _p)
+        def inv(a, _p=p):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return pow(a, _p - 2, _p)
 
-            self.inv = inv
+        self.inv = inv
+
+    def _bind_logs(self):
+        p, q = self.p, self.q
+        n1 = q - 1
+        half = n1 // 2  # for odd p, g^half = -1
+        g, powers, log = _log_tables(p, self.k, self.modulus)
+        # exp holds g^i for 0 <= i <= 2(q - 2), so a sum of two logs needs no
+        # reduction, then a tail of zeros.  log[0] = 2q - 3 puts every sum
+        # involving it in that tail, so mul and neg need no zero test.
+        zero_log = 2 * n1 - 1
+        log[0] = zero_log
+        exp = _ints(4 * n1 - 1)
+        exp[:n1] = powers
+        exp[n1:2 * n1 - 1] = powers[:-1]
+        # For odd p, zech[i] = log(1 + g^i), and zero_log where 1 + g^i = 0
+        # (i = half).  Adding 1 changes digit 0 only, so each entry is O(1).
+        zech = _ints(n1 if p > 2 else 0)
+        for i in range(len(zech)):
+            e = powers[i]
+            if e == p - 1:
+                zech[i] = zero_log
+            else:
+                zech[i] = log[e + 1 if e % p != p - 1 else e + 1 - p]
+        if q <= _LIST_TABLE_CAP:
+            exp, log, zech = exp.tolist(), log.tolist(), zech.tolist()
+        self.primitive = g
+        self._exp, self._log = exp, log
+
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return exp[n1 - log[a]]
+
+        self.mul = lambda a, b: exp[log[a] + log[b]]
+        self.inv = inv
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = lambda a: a
             return
 
-        mod = list(self.modulus)
-
-        def decode(a, _p=p, _k=k):
-            out = []
-            for _ in range(_k):
-                out.append(a % _p)
-                a //= _p
-            return out
-
-        def encode(cs, _p=p):
-            v = 0
-            for c in reversed(cs):
-                v = v * _p + c
-            return v
-
         def add(a, b):
-            ca, cb = decode(a), decode(b)
-            return encode([(x + y) % p for x, y in zip(ca, cb)])
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            # a negative index wraps: zech is indexed mod q - 1
+            return exp[la + zech[log[b] - la]]
 
         def sub(a, b):
-            ca, cb = decode(a), decode(b)
-            return encode([(x - y) % p for x, y in zip(ca, cb)])
+            if not b:
+                return a
+            if not a:
+                return exp[log[b] + half]
+            la = log[a]
+            return exp[la + zech[(log[b] + half - la) % n1]]
 
-        def mul(a, b):
-            prod = _pp_mul(_pp_norm(decode(a)), _pp_norm(decode(b)), p)
-            r = _pp_rem(prod, mod, p)
-            return encode(r + [0] * (k - len(r)))
-
-        def neg(a):
-            return encode([(-x) % p for x in decode(a)])
-
-        def inv(a, _q=q):
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            return self.pow(a, _q - 2)
-
-        self.add, self.sub, self.mul, self.neg, self.inv = add, sub, mul, neg, inv
-
-    def _bind_tables(self):
-        """Rebind the element ops to lookups in the flat tables."""
-        add_flat, mul_flat, neg_list = self.index_tables()
-        q = self.q
-        inv_list = [0] + [self.inv(a) for a in range(1, q)]
-        self.add = lambda a, b, _t=add_flat, _q=q: _t[a * _q + b]
-        self.mul = lambda a, b, _t=mul_flat, _q=q: _t[a * _q + b]
-        self.neg = lambda a, _t=neg_list: _t[a]
-
-        def sub(a, b, _t=add_flat, _n=neg_list, _q=q):
-            return _t[a * _q + _n[b]]
-
-        def inv(a, _t=inv_list):
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            return _t[a]
-
-        self.sub = sub
-        self.inv = inv
+        self.add, self.sub = add, sub
+        self.neg = lambda a: exp[log[a] + half]
 
     def index_tables(self):
         """Flat (add, mul, neg) lookup tables for table-driven kernels.
@@ -235,14 +359,11 @@ class FieldSpec:
         """a**e on element indices, e a nonnegative integer."""
         if e < 0:
             raise ValueError("exponent must be nonnegative; use inv() first")
-        result = 1
-        mul = self.mul
-        while e:
-            if e & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            e >>= 1
-        return result
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def frobenius(self, a: int) -> int:
         """The p-th power map a -> a**p (identity on the prime field)."""
@@ -306,6 +427,8 @@ class FieldSpec:
         return str(a)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
         return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)

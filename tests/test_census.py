@@ -185,6 +185,12 @@ def test_published_count_checks_survive_optimize():
             census.count_with_charpoly(mc.parse_poly("x^3+x+1", F2))
         except RuntimeError as exc:
             print("count:", exc)
+        # a stabilizer order of 5 does not divide |GL_2(2)| = 6
+        census.centralizer_unit_count = lambda M: 5
+        try:
+            census.orbit_stabilizer_report(mc.parse_matrix("0,1;1,1", F2))
+        except RuntimeError as exc:
+            print("orbit:", exc)
     """)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -195,7 +201,8 @@ def test_published_count_checks_survive_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["census", "count"]
+    assert [line.split(":")[0] for line in lines] == ["census", "count",
+                                                       "orbit"]
 
 
 def test_census_budget():

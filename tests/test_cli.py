@@ -2,9 +2,11 @@
 and byte-level determinism."""
 
 import json
+import sys
 
 import pytest
 
+import matrix_census as mc
 import matrix_census.cli as cli
 from matrix_census import census as census_mod
 
@@ -121,9 +123,9 @@ def test_verify_budget_exceeded(capsys):
 
 def _corrupt_formula(monkeypatch):
     """Shift every closed-form count by one, as a wrong formula would."""
-    real = census_mod.count_with_charpoly
-    monkeypatch.setattr(census_mod, "count_with_charpoly",
-                        lambda g, **kw: real(g, **kw) + 1)
+    real = census_mod._count_from_factors
+    monkeypatch.setattr(census_mod, "_count_from_factors",
+                        lambda q, n, factors: real(q, n, factors) + 1)
 
 
 def test_verify_corrupted_formula_fails(capsys, monkeypatch):
@@ -144,6 +146,41 @@ def test_verify_corrupted_formula_mode_formula(capsys, monkeypatch):
                          "--mode", "formula")
     assert code == 1
     assert doc["result"]["pass"] is False
+
+
+def test_verify_flags_theorem1_rows(capsys, monkeypatch):
+    # only the irreducible charpolys are held to the irreducible-case count
+    monkeypatch.setattr(cli, "count_irreducible_case",
+                        lambda q, n: census_mod.count_irreducible_case(q, n)
+                        + 1)
+    code, doc = run_json(capsys, "verify", "--q", "3", "--n", "2",
+                         "--mode", "both")
+    assert code == 1
+    flagged = [m["charpoly"] for m in doc["result"]["mismatches"]]
+    assert flagged == ["x^2+1", "x^2+x+2", "x^2+2*x+2"]
+
+
+def _big_int(text):
+    # int() refuses strings past sys.get_int_max_str_digits() digits
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_count_longer_than_int_str_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, doc = run_json(capsys, "count", "--q", "2", "--n", "121")
+    assert code == 0
+    text = doc["result"]["count"]
+    assert len(text) > 4300
+    assert _big_int(text) == census_mod.count_irreducible_case(2, 121)
+    code, doc = run_json(capsys, "count", "--q", "2", "--poly", "x^121+x+1")
+    assert code == 0
+    g = mc.parse_poly("x^121+x+1", mc.make_field(2))
+    assert _big_int(doc["result"]["count"]) == census_mod.count_with_charpoly(g)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_verify_csv_output(capsys):

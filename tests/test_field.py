@@ -60,6 +60,90 @@ def test_gf4_multiplication_table():
     assert F.inv(t) == 3 and F.inv(3) == t
 
 
+# Independent reference arithmetic: coefficient vectors over GF(p), reduced
+# by F.modulus with schoolbook long division.
+
+def _ref_vec(F, a):
+    return [a // F.p ** i % F.p for i in range(F.k)]
+
+
+def _ref_index(F, v):
+    return sum(c * F.p ** i for i, c in enumerate(v))
+
+
+def _ref_mul(F, a, b):
+    p, k, mod = F.p, F.k, F.modulus
+    va, vb = _ref_vec(F, a), _ref_vec(F, b)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(va):
+        for j, y in enumerate(vb):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for j in range(k + 1):
+            prod[top - k + j] = (prod[top - k + j] - c * mod[j]) % p
+    return _ref_index(F, prod[:k])
+
+
+def _ref_pow(F, a, e):
+    r = 1
+    for _ in range(e):
+        r = _ref_mul(F, r, a)
+    return r
+
+
+EXTENSIONS = ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 5), (2, 8))
+
+
+@pytest.mark.parametrize("p,k", EXTENSIONS)
+def test_extension_ops_match_schoolbook_reference(p, k):
+    F = mc.FieldSpec(p, k)
+    q = F.q
+    vecs = [_ref_vec(F, a) for a in range(q)]
+    for a in range(q):
+        va = vecs[a]
+        for b in range(q):
+            vb = vecs[b]
+            assert F.add(a, b) == _ref_index(
+                F, [(x + y) % p for x, y in zip(va, vb)])
+            assert F.sub(a, b) == _ref_index(
+                F, [(x - y) % p for x, y in zip(va, vb)])
+            assert F.mul(a, b) == _ref_mul(F, a, b)
+        assert F.neg(a) == _ref_index(F, [(-x) % p for x in va])
+        if a:
+            assert _ref_mul(F, a, F.inv(a)) == 1
+        else:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        assert F.frobenius(a) == _ref_pow(F, a, p)
+        for e in (0, 1, 2, q - 1, q + 1, 3 * q - 2):
+            expected = _ref_pow(F, a, e % (q - 1)) if a else int(e == 0)
+            assert F.pow(a, e) == expected
+
+
+@pytest.mark.parametrize("p,k", EXTENSIONS)
+def test_primitive_element_is_smallest_of_full_order(p, k):
+    F = mc.FieldSpec(p, k)
+    n1 = F.q - 1
+
+    def order(a):
+        r, e = a, 1
+        while r != 1:
+            r, e = _ref_mul(F, r, a), e + 1
+        return e
+
+    assert order(F.primitive) == n1
+    assert all(order(c) < n1 for c in range(1, F.primitive))
+
+
+def test_residue_of_x_is_not_always_primitive():
+    # x^8+x^4+x^3+x+1 and x^2+1 are irreducible but not primitive
+    assert mc.make_field(2, 8).primitive == 3    # x + 1; x has order 51
+    assert mc.make_field(3, 2).primitive == 4    # x + 1; x has order 4
+    assert mc.make_field(2, 3).primitive == 2    # x
+    assert mc.make_field(5).primitive is None
+
+
 def test_gf9_coeff_encoding():
     F = mc.make_field(3, 2)
     assert F.coeffs_of(5) == (2, 1)  # 5 = 2 + 1 * 3
@@ -197,7 +281,7 @@ def test_parse_format_element_round_trip():
 
 
 def test_index_tables_agree_with_ops():
-    for p, k in ((2, 2), (3, 2), (13, 1), (3, 5)):  # 3^5 = 243 > eager cap
+    for p, k in ((2, 2), (3, 2), (13, 1), (3, 5)):  # 3^5 = 243: Zech add
         F = mc.make_field(p, k)
         add_flat, mul_flat, neg_list = F.index_tables()
         q = F.q
@@ -209,7 +293,7 @@ def test_index_tables_agree_with_ops():
 
 
 def test_index_tables_leave_ops_bound():
-    for F in (mc.FieldSpec(3, 5), mc.FieldSpec(101)):  # built untabled
+    for F in (mc.FieldSpec(3, 5), mc.FieldSpec(101)):  # fresh, no flat tables
         mul = F.mul
         F.index_tables()
         assert F.mul is mul
