@@ -27,8 +27,8 @@ from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
                      count_irreducible_case, orbit_stabilizer_report)
 from .errors import BudgetError, ParseError
 from .factor import factorize
-from .field import (DEFAULT_FIELD_ORDER_BUDGET, field_from_order, is_prime,
-                    make_field)
+from .field import (DEFAULT_FIELD_ORDER_BUDGET, _check_order, _find_modulus,
+                    _prime_power, is_prime, make_field)
 from .matrix import format_matrix, parse_matrix
 from .poly import format_poly, parse_poly
 
@@ -110,28 +110,39 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _resolve_field(args):
+def _resolve_order(args):
+    """(p, k) of the field named by --q and --k, checked against
+    --field-budget, without building the field."""
     q, k = args.q, args.k
-    budget = args.field_budget
     if k is not None:
         if k < 1:
             raise _UsageError("--k must be a positive integer")
         if not is_prime(q):
             raise _UsageError("--q must be prime when --k is given")
-        return make_field(q, k, max_order=budget)
-    try:
-        return field_from_order(q, max_order=budget)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        p = q
+    else:
+        try:
+            p, k = _prime_power(q)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+    _check_order(p, k, args.field_budget)
+    return p, k
+
+
+def _resolve_field(args):
+    return make_field(*_resolve_order(args), max_order=args.field_budget)
 
 
 def _field_params(field):
+    return _order_params(field.p, field.k, field.modulus)
+
+
+def _order_params(p, k, modulus):
     mod = None
-    if field.modulus is not None:
-        base = make_field(field.p)
+    if modulus is not None:
         from .poly import Polynomial
-        mod = format_poly(Polynomial(base, list(field.modulus)))
-    return {"p": field.p, "k": field.k, "q": field.q, "modulus": mod}
+        mod = format_poly(Polynomial(make_field(p), list(modulus)))
+    return {"p": p, "k": k, "q": p ** k, "modulus": mod}
 
 
 def _decimal(n: int) -> str:
@@ -167,26 +178,10 @@ def _threads(args):
 
 
 def _cmd_count(args):
-    field = _resolve_field(args)
-    params = {"field": _field_params(field), "seed": args.seed}
-    if args.poly is not None:
-        g = parse_poly(args.poly, field)
-        if args.n is not None and args.n != g.degree:
-            raise ValueError(
-                f"--n {args.n} does not match the polynomial degree {g.degree}")
-        if g.degree < 1 or not g.is_monic:
-            raise ValueError("count needs a monic polynomial of degree >= 1")
-        fact = factorize(g, seed=args.seed)
-        irred = len(fact.factors) == 1 and fact.factors[0][1] == 1
-        count = _count_from_factors(field.q, g.degree, fact.factors)
-        params["n"] = g.degree
-        params["poly"] = format_poly(g)
-        result = {
-            "count": _decimal(count),
-            "formula": "theorem1" if irred else "general",
-            "factorization": [[format_poly(f), m] for f, m in fact.factors],
-        }
-    else:
+    if args.poly is None:  # needs q only, so the field's tables are not built
+        p, k = _resolve_order(args)
+        modulus = _find_modulus(p, k) if k > 1 else None
+        params = {"field": _order_params(p, k, modulus), "seed": args.seed}
         if args.n is None:
             raise _UsageError("count needs --n when --poly is omitted")
         if args.n < 1:
@@ -194,10 +189,29 @@ def _cmd_count(args):
         params["n"] = args.n
         params["poly"] = None
         result = {
-            "count": _decimal(count_irreducible_case(field.q, args.n)),
+            "count": _decimal(count_irreducible_case(p ** k, args.n)),
             "formula": "theorem1",
             "factorization": None,
         }
+        return params, result
+    field = _resolve_field(args)
+    params = {"field": _field_params(field), "seed": args.seed}
+    g = parse_poly(args.poly, field)
+    if args.n is not None and args.n != g.degree:
+        raise ValueError(
+            f"--n {args.n} does not match the polynomial degree {g.degree}")
+    if g.degree < 1 or not g.is_monic:
+        raise ValueError("count needs a monic polynomial of degree >= 1")
+    fact = factorize(g, seed=args.seed)
+    irred = len(fact.factors) == 1 and fact.factors[0][1] == 1
+    count = _count_from_factors(field.q, g.degree, fact.factors)
+    params["n"] = g.degree
+    params["poly"] = format_poly(g)
+    result = {
+        "count": _decimal(count),
+        "formula": "theorem1" if irred else "general",
+        "factorization": [[format_poly(f), m] for f, m in fact.factors],
+    }
     return params, result
 
 

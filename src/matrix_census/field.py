@@ -18,7 +18,7 @@ product is exp[log a + log b].  For p = 2 the index encoding is binary, so a
 sum is the XOR of the indices; for odd p a sum goes through the Zech
 logarithm zech[i] = log(1 + g^i) (Lidl and Niederreiter, *Finite Fields*,
 ch. 9).  The tables are built once per field, in O(q) steps, at
-construction.
+construction, and hold 4-byte ints.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 
 # Hard cap for the flat tables handed to table-driven kernels.
 _TABLE_CAP = 1024
-# Log tables up to this field order are lists, which index fastest; larger
-# ones stay packed 4-byte ints (GF(2^20): 20 MB, not 100).
-_LIST_TABLE_CAP = 2 ** 16
+# Hard cap on the order of an extension field, whatever max_order allows: its
+# log tables take about 24 bytes per element (400 MB at the cap), and their
+# 4-byte entries must hold 2q - 3.
+_LOG_TABLE_CAP = 2 ** 24
 
 
 def is_prime(n: int) -> bool:
@@ -218,6 +219,33 @@ def _log_tables(p: int, k: int, modulus: tuple):
     return g, exp, log
 
 
+def _check_order(p: int, k: int, max_order: int) -> int:
+    """q = p**k, once GF(p^k) is checked to exist within the budget."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"characteristic must be prime, got {p!r}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"extension degree must be a positive integer, got {k!r}")
+    q = p ** k
+    if q > max_order:
+        raise BudgetError(
+            f"field order {p}^{k} = {q} exceeds the budget {max_order}")
+    return q
+
+
+def _find_modulus(p: int, k: int) -> tuple:
+    """First monic irreducible of degree k in the ascending coefficient scan."""
+    for v in range(p ** k):
+        coeffs = []
+        t = v
+        for _ in range(k):
+            coeffs.append(t % p)
+            t //= p
+        coeffs.append(1)
+        if _pp_is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible modulus found")  # unreachable
+
+
 class FieldSpec:
     """The field GF(p^k) with its canonical integer element encoding.
 
@@ -226,43 +254,27 @@ class FieldSpec:
     so instances are safe to share.  Prime fields use modular arithmetic.
     Extension fields use log/antilog tables over ``primitive``, the smallest
     element index of multiplicative order q - 1 (None for prime fields);
-    building them costs O(q) time and memory.
+    building them costs O(q) time and about 24 bytes per element, so
+    extension fields above ``_LOG_TABLE_CAP`` raise ``BudgetError``.
     """
 
     def __init__(self, p: int, k: int = 1, *,
                  max_order: int = DEFAULT_FIELD_ORDER_BUDGET):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p!r}")
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {k!r}")
-        q = p ** k
-        if q > max_order:
+        q = _check_order(p, k, max_order)
+        if k > 1 and q > _LOG_TABLE_CAP:
             raise BudgetError(
-                f"field order {p}^{k} = {q} exceeds the budget {max_order}")
+                f"field order {p}^{k} = {q} exceeds the log-table cap "
+                f"{_LOG_TABLE_CAP} for extension fields")
         self.p = p
         self.k = k
         self.q = q
-        self.modulus = None if k == 1 else self._find_modulus(p, k)
+        self.modulus = None if k == 1 else _find_modulus(p, k)
         self.primitive = None
         self._tables = None
         if k == 1:
             self._bind_modular()
         else:
             self._bind_logs()
-
-    @staticmethod
-    def _find_modulus(p: int, k: int) -> tuple:
-        """First monic irreducible of degree k in the ascending coefficient scan."""
-        for v in range(p ** k):
-            coeffs = []
-            t = v
-            for _ in range(k):
-                coeffs.append(t % p)
-                t //= p
-            coeffs.append(1)
-            if _pp_is_irreducible(coeffs, p):
-                return tuple(coeffs)
-        raise AssertionError("no irreducible modulus found")  # unreachable
 
     def _bind_modular(self):
         p = self.p
@@ -300,8 +312,6 @@ class FieldSpec:
                 zech[i] = zero_log
             else:
                 zech[i] = log[e + 1 if e % p != p - 1 else e + 1 - p]
-        if q <= _LIST_TABLE_CAP:
-            exp, log, zech = exp.tolist(), log.tolist(), zech.tolist()
         self.primitive = g
         self._exp, self._log = exp, log
 
@@ -533,9 +543,8 @@ def make_field(p: int, k: int = 1, *,
     return _cached_field(p, k, max_order)
 
 
-def field_from_order(q: int, *,
-                     max_order: int = DEFAULT_FIELD_ORDER_BUDGET) -> FieldSpec:
-    """GF(q) for a prime power q, decomposing q as p^k."""
+def _prime_power(q: int) -> tuple:
+    """(p, k) with q = p**k and p prime."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an integer >= 2, got {q!r}")
     p = q
@@ -552,4 +561,11 @@ def field_from_order(q: int, *,
         k += 1
     if t != 1:
         raise ValueError(f"{q} is not a prime power")
+    return p, k
+
+
+def field_from_order(q: int, *,
+                     max_order: int = DEFAULT_FIELD_ORDER_BUDGET) -> FieldSpec:
+    """GF(q) for a prime power q, decomposing q as p^k."""
+    p, k = _prime_power(q)
     return make_field(p, k, max_order=max_order)

@@ -307,6 +307,21 @@ def test_field_budget_flag(capsys):
     assert doc["result"]["count"] == "1"
 
 
+def test_count_n_does_not_build_the_field(capsys):
+    # 3^16 is above the log-table cap, and count --n needs only q
+    budget = str(3 ** 16)
+    code, doc = run_json(capsys, "count", "--q", "3", "--k", "16", "--n", "2",
+                         "--field-budget", budget)
+    assert code == 0
+    assert doc["params"]["field"]["modulus"] == "x^16+x^3+x^2+1"
+    assert doc["result"]["count"] == str(
+        mc.count_irreducible_case(3 ** 16, 2))
+    code, out, err = run_cli(capsys, "count", "--q", "3", "--k", "16",
+                             "--poly", "x", "--field-budget", budget)
+    assert code == 3
+    assert err.startswith("error:budget:")
+
+
 def test_repro_pins_timing_and_output_is_byte_stable(capsys):
     outputs = set()
     for _ in range(2):

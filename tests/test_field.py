@@ -315,6 +315,15 @@ def test_field_order_budget():
     assert F.mul(a, a) == F.index_of((0, 0, 1) + (0,) * 18)
 
 
+def test_extension_field_above_log_table_cap_is_refused():
+    # refused before the modulus search or any table allocation
+    for p, k in ((2, 25), (3, 16)):
+        with pytest.raises(BudgetError, match="log-table cap"):
+            mc.FieldSpec(p, k, max_order=p ** k)
+    F = mc.FieldSpec(16777259, max_order=2 ** 25)  # prime fields have no tables
+    assert F.mul(16777258, 16777258) == 1
+
+
 def test_make_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         mc.make_field(4)  # not prime
