@@ -7,8 +7,10 @@ Every successful invocation prints exactly one JSON envelope on stdout:
 
 Counts are serialized as decimal strings so no output value is ever clamped
 to a machine integer.  Errors go to stderr as a single ``error:<kind>:...``
-line with exit code 1 (domain), 2 (usage), or 3 (budget); ``--repro`` pins
-timing_ms to 0 so output is byte-stable for fixed inputs and seed.
+line with exit code 1 (domain), 2 (usage) or 3 (budget).  Kind ``internal``,
+also exit 1, means a published count failed its own consistency check, and
+nothing is printed on stdout.  ``--repro`` pins timing_ms to 0 so output is
+byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -410,6 +412,9 @@ def run(argv=None) -> int:
         return 3
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error:domain:{exc}\n")
+        return 1
+    except RuntimeError as exc:
+        sys.stderr.write(f"error:internal:{exc}\n")
         return 1
 
 

@@ -2,9 +2,10 @@
 
 Elements are canonically encoded as integers in [0, q): the element with
 coefficient vector (c_0, ..., c_{k-1}) over GF(p) has index sum(c_i * p**i).
-``FieldSpec`` operates directly on these indices (the representation used by
-the enumeration kernels); ``FieldElement`` is a thin immutable wrapper for
-callers that prefer operator syntax.
+``FieldSpec`` operates directly on these indices, and every layer above it
+(polynomials, matrices, the census) computes through its bound ops;
+``FieldElement`` is a thin immutable wrapper for callers that prefer operator
+syntax.
 
 For an extension field the modulus is the first monic irreducible polynomial
 of degree k in the ascending scan of coefficient vectors, so two constructions
@@ -30,8 +31,6 @@ from .errors import BudgetError, ParseError
 
 DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 
-# Hard cap for the flat tables handed to table-driven kernels.
-_TABLE_CAP = 1024
 # Hard cap on the order of an extension field, whatever max_order allows: its
 # log tables take about 24 bytes per element (400 MB at the cap), and their
 # 4-byte entries must hold 2q - 3.
@@ -270,7 +269,6 @@ class FieldSpec:
         self.q = q
         self.modulus = None if k == 1 else _find_modulus(p, k)
         self.primitive = None
-        self._tables = None
         if k == 1:
             self._bind_modular()
         else:
@@ -346,24 +344,6 @@ class FieldSpec:
 
         self.add, self.sub = add, sub
         self.neg = lambda a: exp[log[a] + half]
-
-    def index_tables(self):
-        """Flat (add, mul, neg) lookup tables for table-driven kernels.
-
-        Built on first use and cached; the element ops are left as they are.
-        """
-        if self._tables is None:
-            q = self.q
-            if q > _TABLE_CAP:
-                raise BudgetError(
-                    f"field order {q} too large for table-driven "
-                    f"enumeration (cap {_TABLE_CAP})")
-            add, mul = self.add, self.mul
-            self._tables = (
-                [add(a, b) for a in range(q) for b in range(q)],
-                [mul(a, b) for a in range(q) for b in range(q)],
-                [self.neg(a) for a in range(q)])
-        return self._tables
 
     def pow(self, a: int, e: int) -> int:
         """a**e on element indices, e a nonnegative integer."""

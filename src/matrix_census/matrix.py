@@ -297,46 +297,47 @@ def _berkowitz(field: FieldSpec, flat, n: int) -> list:
     add, mul, neg = field.add, field.mul, field.neg
     p = [1]
     for i in range(n):
-        d = flat[i * n + i]
-        dots = []
-        if i:
-            w = [flat[t * n + i] for t in range(i)]
-            ro = i * n
-            for j in range(i):
-                s = 0
+        p = _berkowitz_step(add, mul, neg, flat, n, i, p)
+    return p
+
+
+def _berkowitz_step(add, mul, neg, flat, n: int, i: int, p: list) -> list:
+    """One step of the Berkowitz recurrence on the row-major n x n ``flat``:
+    the descending charpoly of its leading (i+1) x (i+1) block, from ``p``,
+    that of the leading i x i block.  Reads only entries of the larger block.
+    """
+    col = [1, neg(flat[i * n + i])]
+    w = [flat[t * n + i] for t in range(i)]
+    ro = i * n
+    for j in range(i):
+        s = 0
+        for t in range(i):
+            wt = w[t]
+            if wt:
+                s = add(s, mul(flat[ro + t], wt))
+        col.append(neg(s))
+        if j < i - 1:
+            nw = []
+            for u in range(i):
+                uo = u * n
+                s2 = 0
                 for t in range(i):
                     wt = w[t]
                     if wt:
-                        s = add(s, mul(flat[ro + t], wt))
-                dots.append(s)
-                if j < i - 1:
-                    nw = []
-                    for u in range(i):
-                        uo = u * n
-                        s2 = 0
-                        for t in range(i):
-                            wt = w[t]
-                            if wt:
-                                s2 = add(s2, mul(flat[uo + t], wt))
-                        nw.append(s2)
-                    w = nw
-        col = [1, neg(d)] + [neg(x) for x in dots]
-        lp = len(p)
-        lc = len(col)
-        np_ = []
-        for s in range(i + 2):
-            acc = 0
-            tlo = s - lc + 1
-            if tlo < 0:
-                tlo = 0
-            thi = s if s < lp else lp - 1
-            for t in range(tlo, thi + 1):
-                pv = p[t]
-                if pv:
-                    acc = add(acc, mul(col[s - t], pv))
-            np_.append(acc)
-        p = np_
-    return p
+                        s2 = add(s2, mul(flat[uo + t], wt))
+                nw.append(s2)
+            w = nw
+    # the first i + 2 coefficients of the convolution of col with p, which
+    # has i + 1; term t = 0 is col[s] * p[0] = col[s], as p is monic
+    np_ = [1]
+    for s in range(1, i + 2):
+        acc = col[s]
+        for t in range(1, min(s, i) + 1):
+            pv = p[t]
+            if pv:
+                acc = add(acc, mul(col[s - t], pv))
+        np_.append(acc)
+    return np_
 
 
 def _reduce_mod(field, vec, rref_rows, pivots):

@@ -12,6 +12,7 @@ import pytest
 import matrix_census as mc
 from matrix_census.errors import BudgetError
 from matrix_census.poly import Polynomial
+from test_acceptance import GRID
 
 
 F2 = mc.make_field(2)
@@ -83,6 +84,21 @@ def test_count_with_charpoly_agrees_with_irreducible_formula():
                     mc.count_irreducible_case(field.q, n)
 
 
+def test_counts_match_rational_forms():
+    # the integer products against their rational forms, built from
+    # f_product(u, v) = prod_{i=1}^{v} (1 - u^-i)
+    for q, n in GRID + [(4, 3)]:
+        field = mc.field_from_order(q)
+        glo = mc.gl_order(q, n)
+        assert glo == q ** (n * n) * mc.f_product(q, n)
+        assert mc.count_irreducible_case(q, n) * (q ** n - 1) == glo
+        for g in mc.monic_polys(field, n):
+            rational = Fraction(q ** (n * n - n)) * mc.f_product(q, n)
+            for f, m in mc.factorize(g).factors:
+                rational /= mc.f_product(q ** f.degree, m)
+            assert mc.count_with_charpoly(g) == rational, mc.format_poly(g)
+
+
 def test_count_with_charpoly_input_validation():
     with pytest.raises(ValueError):
         mc.count_with_charpoly(mc.parse_poly("2*x+1", F3))  # not monic
@@ -125,8 +141,13 @@ def test_census_entries_ordered_canonically():
 
 
 def test_census_matches_direct_charpoly_loop():
-    # independent route: object-level charpoly per matrix
-    for field, n in ((F2, 2), (F3, 2), (F2, 3)):
+    # independent route: object-level charpoly per matrix.  GF(4) adds by
+    # XOR, GF(9) by Zech logarithms, and GF(2053) is a prime field of more
+    # than 1024 elements
+    F9 = mc.make_field(3, 2)
+    F2053 = mc.make_field(2053)
+    for field, n in ((F2, 2), (F3, 2), (F2, 3), (F4, 2), (F9, 2),
+                     (F2053, 1)):
         direct = {}
         for idx in range(field.q ** (n * n)):
             g = mc.SquareMatrix.from_index(field, n, idx).charpoly()
@@ -164,14 +185,14 @@ def test_published_count_checks_survive_optimize():
         if __debug__:
             sys.exit("not running under -O")
         F2 = mc.make_field(2)
-        real_chunk = census._census_chunk
+        real_tally = census._census_tally
 
-        def lossy_chunk(field, n):
-            tally = real_chunk(field, n)
+        def lossy_tally(field, n):
+            tally = real_tally(field, n)
             tally[next(iter(tally))] -= 1
             return tally
 
-        census._census_chunk = lossy_chunk
+        census._census_tally = lossy_tally
         try:
             census.census_bruteforce(F2, 2)
         except RuntimeError as exc:

@@ -260,6 +260,17 @@ def test_orbit_reducible_is_domain_error(capsys):
     assert err.startswith("error:domain:")
 
 
+def test_failed_published_count_check_is_internal_error(capsys, monkeypatch):
+    # a stabilizer order of 5 does not divide |GL_2(2)| = 6
+    monkeypatch.setattr(census_mod, "centralizer_unit_count", lambda M: 5)
+    code, out, err = run_cli(capsys, "orbit", "--q", "2", "--matrix",
+                             "0,1;1,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:internal:") and "does not divide" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_usage_errors(capsys):
     cases = [
         ("count", "--q", "6", "--n", "2"),            # not a prime power

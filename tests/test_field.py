@@ -280,30 +280,9 @@ def test_parse_format_element_round_trip():
         F.parse_element("x")
 
 
-def test_index_tables_agree_with_ops():
-    for p, k in ((2, 2), (3, 2), (13, 1), (3, 5)):  # 3^5 = 243: Zech add
-        F = mc.make_field(p, k)
-        add_flat, mul_flat, neg_list = F.index_tables()
-        q = F.q
-        for a in range(q):
-            assert neg_list[a] == F.neg(a)
-            for b in range(q):
-                assert add_flat[a * q + b] == F.add(a, b)
-                assert mul_flat[a * q + b] == F.mul(a, b)
-
-
-def test_index_tables_leave_ops_bound():
-    for F in (mc.FieldSpec(3, 5), mc.FieldSpec(101)):  # fresh, no flat tables
-        mul = F.mul
-        F.index_tables()
-        assert F.mul is mul
-
-
 def test_large_field_beyond_table_cap_still_works():
-    F = mc.make_field(2053)  # prime above the flat-table cap
+    F = mc.make_field(2053)  # prime above the old 1024-element table cap
     assert F.mul(2052, 2052) == (2052 * 2052) % 2053
-    with pytest.raises(BudgetError):
-        F.index_tables()
 
 
 def test_field_order_budget():
