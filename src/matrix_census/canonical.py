@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .factor import factorize
 from .field import FieldElement, FieldSpec
-from .matrix import SquareMatrix, _conductor, poly_times_vector, row_echelon
+from .matrix import (SquareMatrix, _conductor, _order_lcm, poly_times_vector,
+                     row_echelon)
 from .poly import Polynomial
 
 
@@ -92,17 +93,7 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
     wrref, wpivots = [], []
 
     while len(wcols) < n:
-        # order of the quotient operator = lcm of basis-vector conductors
-        target = Polynomial.one(field)
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            coeffs, _ = _conductor(M, e, wrref, wpivots)
-            order = Polynomial._raw(field, list(coeffs))
-            g = target.gcd(order)
-            target = (target * order) // g
-            if target.degree == n - len(wcols):
-                break
+        target = _order_lcm(M, wrref, wpivots, n - len(wcols))
         tdeg = target.degree
 
         # first vector (by matrix-index encoding) whose conductor hits tdeg

@@ -29,10 +29,10 @@ from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
                      count_irreducible_case, orbit_stabilizer_report)
 from .errors import BudgetError, ParseError
 from .factor import factorize
-from .field import (DEFAULT_FIELD_ORDER_BUDGET, _check_order, _find_modulus,
-                    _prime_power, is_prime, make_field)
+from .field import (DEFAULT_FIELD_ORDER_BUDGET, _prime_power, is_prime,
+                    make_field)
 from .matrix import format_matrix, parse_matrix
-from .poly import format_poly, parse_poly
+from .poly import Polynomial, format_poly, parse_poly
 
 ENV_THREADS = "MATRIX_CENSUS_THREADS"
 
@@ -112,9 +112,8 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _resolve_order(args):
-    """(p, k) of the field named by --q and --k, checked against
-    --field-budget, without building the field."""
+def _resolve_field(args):
+    """The field named by --q and --k, checked against --field-budget."""
     q, k = args.q, args.k
     if k is not None:
         if k < 1:
@@ -127,24 +126,14 @@ def _resolve_order(args):
             p, k = _prime_power(q)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    _check_order(p, k, args.field_budget)
-    return p, k
-
-
-def _resolve_field(args):
-    return make_field(*_resolve_order(args), max_order=args.field_budget)
+    return make_field(p, k, max_order=args.field_budget)
 
 
 def _field_params(field):
-    return _order_params(field.p, field.k, field.modulus)
-
-
-def _order_params(p, k, modulus):
-    mod = None
-    if modulus is not None:
-        from .poly import Polynomial
-        mod = format_poly(Polynomial(make_field(p), list(modulus)))
-    return {"p": p, "k": k, "q": p ** k, "modulus": mod}
+    # the modulus coefficients are prime-field indices, so need no arithmetic
+    mod = (None if field.modulus is None
+           else format_poly(Polynomial._raw(field, list(field.modulus))))
+    return {"p": field.p, "k": field.k, "q": field.q, "modulus": mod}
 
 
 def _decimal(n: int) -> str:
@@ -180,24 +169,20 @@ def _threads(args):
 
 
 def _cmd_count(args):
+    field = _resolve_field(args)
+    params = {"field": _field_params(field), "seed": args.seed}
     if args.poly is None:  # needs q only, so the field's tables are not built
-        p, k = _resolve_order(args)
-        modulus = _find_modulus(p, k) if k > 1 else None
-        params = {"field": _order_params(p, k, modulus), "seed": args.seed}
         if args.n is None:
             raise _UsageError("count needs --n when --poly is omitted")
         if args.n < 1:
             raise _UsageError("--n must be a positive integer")
-        params["n"] = args.n
-        params["poly"] = None
+        params.update(n=args.n, poly=None)
         result = {
-            "count": _decimal(count_irreducible_case(p ** k, args.n)),
+            "count": _decimal(count_irreducible_case(field.q, args.n)),
             "formula": "theorem1",
             "factorization": None,
         }
         return params, result
-    field = _resolve_field(args)
-    params = {"field": _field_params(field), "seed": args.seed}
     g = parse_poly(args.poly, field)
     if args.n is not None and args.n != g.degree:
         raise ValueError(
@@ -207,8 +192,7 @@ def _cmd_count(args):
     fact = factorize(g, seed=args.seed)
     irred = len(fact.factors) == 1 and fact.factors[0][1] == 1
     count = _count_from_factors(field.q, g.degree, fact.factors)
-    params["n"] = g.degree
-    params["poly"] = format_poly(g)
+    params.update(n=g.degree, poly=format_poly(g))
     result = {
         "count": _decimal(count),
         "formula": "theorem1" if irred else "general",

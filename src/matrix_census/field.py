@@ -9,7 +9,8 @@ syntax.
 
 For an extension field the modulus is the first monic irreducible polynomial
 of degree k in the ascending scan of coefficient vectors, so two constructions
-of GF(p^k) always agree on the representation.
+of GF(p^k) always agree on the representation.  The scan runs the package's
+one irreducibility test, ``factor.is_irreducible``, over GF(p).
 
 Prime fields compute on the indices modulo p.  Every extension field computes
 through log/antilog tables of size O(q) over its primitive element g, the
@@ -18,8 +19,9 @@ primitive: under the canonical modulus of GF(256) it has order 51).  A
 product is exp[log a + log b].  For p = 2 the index encoding is binary, so a
 sum is the XOR of the indices; for odd p a sum goes through the Zech
 logarithm zech[i] = log(1 + g^i) (Lidl and Niederreiter, *Finite Fields*,
-ch. 9).  The tables are built once per field, in O(q) steps, at
-construction, and hold 4-byte ints.
+ch. 9).  The tables are built once per field, in O(q) steps, on its first
+arithmetic call, and hold 4-byte ints; naming a field costs only its modulus
+search.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 # log tables take about 24 bytes per element (400 MB at the cap), and their
 # 4-byte entries must hold 2q - 3.
 _LOG_TABLE_CAP = 2 ** 24
+
+# What FieldSpec._bind_logs sets on an extension field, on first access.
+_LAZY = frozenset("add sub mul neg inv primitive _exp _log".split())
 
 
 def is_prime(n: int) -> bool:
@@ -69,49 +74,6 @@ def _prime_divisors(n: int) -> list:
     if n > 1:
         out.append(n)
     return out
-
-
-# Helpers on polynomials over GF(p) represented as lists of ints, ascending
-# powers, no trailing zeros.  Used for the modulus search.
-
-def _pp_norm(f: list) -> list:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pp_rem(f: list, g: list, p: int) -> list:
-    # g must be monic
-    assert g and g[-1] == 1
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg and r:
-        c = r[-1]
-        if c:
-            off = len(r) - 1 - dg
-            for j in range(dg):
-                r[off + j] = (r[off + j] - c * g[j]) % p
-        r.pop()
-    return _pp_norm(r)
-
-
-def _pp_is_irreducible(f: list, p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    if f[0] == 0:
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        g = [0] * d + [1]
-        for v in range(p ** d):
-            t = v
-            for i in range(d):
-                g[i] = t % p
-                t //= p
-            if not _pp_rem(f, g, p):
-                return False
-    return True
 
 
 def _shift_ops(p: int, k: int, modulus: tuple):
@@ -224,6 +186,11 @@ def _check_order(p: int, k: int, max_order: int) -> int:
         raise ValueError(f"characteristic must be prime, got {p!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
+    # p**k >= 2**k > 2**64 * max_order: refused without computing p**k,
+    # which can be too long to print or even to hold
+    if k >= max_order.bit_length() + 64:
+        raise BudgetError(
+            f"field order {p}^{k} exceeds the budget {max_order}")
     q = p ** k
     if q > max_order:
         raise BudgetError(
@@ -233,46 +200,45 @@ def _check_order(p: int, k: int, max_order: int) -> int:
 
 def _find_modulus(p: int, k: int) -> tuple:
     """First monic irreducible of degree k in the ascending coefficient scan."""
-    for v in range(p ** k):
-        coeffs = []
-        t = v
-        for _ in range(k):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
-        if _pp_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible modulus found")  # unreachable
+    # imported here because both modules import this one
+    from .factor import is_irreducible
+    from .poly import monic_polys
+    prime = FieldSpec(p, max_order=p)
+    return next(g.coeff_indices for g in monic_polys(prime, k)
+                if is_irreducible(g))
 
 
 class FieldSpec:
     """The field GF(p^k) with its canonical integer element encoding.
 
     ``add``, ``sub``, ``mul``, ``neg`` and ``inv`` are callables taking and
-    returning element indices, bound once at construction and never changed,
-    so instances are safe to share.  Prime fields use modular arithmetic.
-    Extension fields use log/antilog tables over ``primitive``, the smallest
-    element index of multiplicative order q - 1 (None for prime fields);
-    building them costs O(q) time and about 24 bytes per element, so
-    extension fields above ``_LOG_TABLE_CAP`` raise ``BudgetError``.
+    returning element indices, bound once and never changed, so instances
+    are safe to share.  Prime fields use modular arithmetic, bound at
+    construction.  Extension fields use log/antilog tables over
+    ``primitive``, the smallest element index of multiplicative order q - 1
+    (None for prime fields).  The tables cost O(q) time and about 24 bytes
+    per element, so they are built on the first access to any of these
+    attributes, and there an extension field above ``_LOG_TABLE_CAP`` raises
+    ``BudgetError``; ``max_order`` is checked at construction.
     """
 
     def __init__(self, p: int, k: int = 1, *,
                  max_order: int = DEFAULT_FIELD_ORDER_BUDGET):
-        q = _check_order(p, k, max_order)
-        if k > 1 and q > _LOG_TABLE_CAP:
-            raise BudgetError(
-                f"field order {p}^{k} = {q} exceeds the log-table cap "
-                f"{_LOG_TABLE_CAP} for extension fields")
         self.p = p
         self.k = k
-        self.q = q
+        self.q = _check_order(p, k, max_order)
         self.modulus = None if k == 1 else _find_modulus(p, k)
-        self.primitive = None
         if k == 1:
+            self.primitive = None
             self._bind_modular()
-        else:
-            self._bind_logs()
+
+    def __getattr__(self, name):
+        # Runs only while an extension field's tables are unbuilt: binding
+        # them sets every name in _LAZY, so later lookups never reach here.
+        if name not in _LAZY:
+            raise AttributeError(name)
+        self._bind_logs()
+        return self.__dict__[name]
 
     def _bind_modular(self):
         p = self.p
@@ -289,10 +255,14 @@ class FieldSpec:
         self.inv = inv
 
     def _bind_logs(self):
-        p, q = self.p, self.q
+        p, k, q = self.p, self.k, self.q
+        if q > _LOG_TABLE_CAP:
+            raise BudgetError(
+                f"field order {p}^{k} = {q} exceeds the log-table cap "
+                f"{_LOG_TABLE_CAP} for extension fields")
         n1 = q - 1
         half = n1 // 2  # for odd p, g^half = -1
-        g, powers, log = _log_tables(p, self.k, self.modulus)
+        g, powers, log = _log_tables(p, k, self.modulus)
         # exp holds g^i for 0 <= i <= 2(q - 2), so a sum of two logs needs no
         # reduction, then a tail of zeros.  log[0] = 2q - 3 puts every sum
         # involving it in that tail, so mul and neg need no zero test.

@@ -236,18 +236,7 @@ class SquareMatrix:
 
     def minpoly(self) -> Polynomial:
         """Least common multiple of the orders of the standard basis vectors."""
-        n = self.n
-        field = self.field
-        result = Polynomial.one(field)
-        for i in range(n):
-            v = [0] * n
-            v[i] = 1
-            order = Polynomial._raw(field, _conductor(self, v, [], [])[0])
-            g = result.gcd(order)
-            result = (result * order) // g
-            if result.degree == n:
-                break
-        return result.monic()
+        return _order_lcm(self, [], [], self.n)
 
     def rank_kernel(self):
         """(rank, deterministic echelonized kernel basis)."""
@@ -389,6 +378,22 @@ def _conductor(M, v, wrref, wpivots):
                      [mul(c, ic) for c in comb]))
         kry.append(list(M.apply(kry[j])))
         j += 1
+
+
+def _order_lcm(M, wrref, wpivots, cap: int) -> Polynomial:
+    """Order of M on the quotient by span(W): the lcm of the conductors of
+    e_0, ..., e_{n-1}, stopping once its degree reaches cap."""
+    field = M.field
+    n = M.n
+    result = Polynomial.one(field)
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        order = Polynomial._raw(field, _conductor(M, e, wrref, wpivots)[0])
+        result = (result * order) // result.gcd(order)
+        if result.degree == cap:
+            break
+    return result
 
 
 def row_echelon(field: FieldSpec, rows):

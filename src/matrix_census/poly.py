@@ -199,19 +199,16 @@ class Polynomial:
             self._check(mod)
             if mod.is_zero:
                 raise ZeroDivisionError("zero modulus")
-        result = Polynomial.one(self.field)
-        base = self if mod is None else self % mod
+        red = (lambda a: a) if mod is None else (lambda a: a % mod)
+        result = None  # one, until the lowest set bit of e
+        base = red(self)
         while e:
             if e & 1:
-                result = result * base
-                if mod is not None:
-                    result = result % mod
+                result = base if result is None else red(result * base)
             e >>= 1
             if e:
-                base = base * base
-                if mod is not None:
-                    base = base % mod
-        return result
+                base = red(base * base)
+        return Polynomial.one(self.field) if result is None else result
 
     def __call__(self, point: FieldElement) -> FieldElement:
         if not isinstance(point, FieldElement):

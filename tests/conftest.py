@@ -32,6 +32,19 @@ def rand_poly(spec, degree, rng, monic=True):
     return mc.Polynomial(spec, coeffs + [lead])
 
 
+def brute_irreducible(f):
+    """Trial division by every monic polynomial of degree <= deg(f)/2: the
+    reference for the package's irreducibility test."""
+    d = f.degree
+    if d < 1:
+        return False
+    for e in range(1, d // 2 + 1):
+        for g in mc.monic_polys(f.field, e):
+            if (f % g).is_zero:
+                return False
+    return True
+
+
 def rand_irreducible_charpoly_matrix(spec, n, rng):
     """Rejection-sampled matrix whose charpoly is irreducible."""
     while True:

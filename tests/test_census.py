@@ -175,12 +175,12 @@ def test_census_starts_no_thread(monkeypatch):
 
 
 def test_published_count_checks_survive_optimize():
-    # assert statements vanish under -O; these two checks must not
+    # assert statements vanish under -O; these checks must not
     script = textwrap.dedent("""
         import sys
         from types import SimpleNamespace
         import matrix_census as mc
-        from matrix_census import census
+        from matrix_census import census, factor
 
         if __debug__:
             sys.exit("not running under -O")
@@ -212,6 +212,12 @@ def test_published_count_checks_survive_optimize():
             census.orbit_stabilizer_report(mc.parse_matrix("0,1;1,1", F2))
         except RuntimeError as exc:
             print("orbit:", exc)
+        # with mu = 1 throughout, the degree-3 necklace sum is 8 + 2 = 10
+        factor._moebius = lambda d: 1
+        try:
+            factor.count_monic_irreducibles(F2, 3)
+        except RuntimeError as exc:
+            print("necklace:", exc)
     """)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -223,7 +229,7 @@ def test_published_count_checks_survive_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["census", "count",
-                                                       "orbit"]
+                                                       "orbit", "necklace"]
 
 
 def test_census_budget():

@@ -333,6 +333,31 @@ def test_count_n_does_not_build_the_field(capsys):
     assert err.startswith("error:budget:")
 
 
+def test_field_budget_applies_to_the_modulus(capsys):
+    q = 1048583  # a prime above the default field budget
+    code, doc = run_json(capsys, "count", "--q", str(q), "--k", "2", "--n",
+                         "2", "--field-budget", str(10 ** 13))
+    assert code == 0
+    assert doc["params"]["field"]["modulus"] == "x^2+1"
+    assert doc["result"]["count"] == str(mc.count_irreducible_case(q ** 2, 2))
+
+
+def test_huge_extension_degree_is_a_short_budget_error(capsys):
+    code, out, err = run_cli(capsys, "count", "--q", "2", "--k", "100000",
+                             "--n", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error:budget:") and len(err) < 200
+
+
+def test_count_n_over_gf_2_64(capsys):
+    code, doc = run_json(capsys, "count", "--q", "2", "--k", "64", "--n", "2",
+                         "--field-budget", str(2 ** 64))
+    assert code == 0
+    assert doc["params"]["field"]["modulus"] == "x^64+x^4+x^3+x+1"
+    assert doc["result"]["count"] == str(
+        mc.count_irreducible_case(2 ** 64, 2))
+
+
 def test_repro_pins_timing_and_output_is_byte_stable(capsys):
     outputs = set()
     for _ in range(2):

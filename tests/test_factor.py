@@ -6,7 +6,7 @@ import pytest
 import matrix_census as mc
 from matrix_census.poly import Polynomial
 
-from conftest import make_rng, rand_poly
+from conftest import brute_irreducible, make_rng, rand_poly
 
 
 F2 = mc.make_field(2)
@@ -20,23 +20,11 @@ def P(field, *coeffs):
     return Polynomial(field, list(coeffs))
 
 
-def _brute_irreducible(f):
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    d = f.degree
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for g in mc.monic_polys(f.field, e):
-            if (f % g).is_zero:
-                return False
-    return True
-
-
 def test_is_irreducible_matches_trial_division():
-    for field, dmax in ((F2, 6), (F3, 4), (F4, 3)):
+    for field, dmax in ((F2, 6), (F3, 4), (F4, 3), (F5, 4), (F9, 3)):
         for d in range(1, dmax + 1):
             for f in mc.monic_polys(field, d):
-                assert mc.is_irreducible(f) == _brute_irreducible(f)
+                assert mc.is_irreducible(f) == brute_irreducible(f)
 
 
 def test_is_irreducible_edge_cases():

@@ -6,7 +6,7 @@ import pytest
 import matrix_census as mc
 from matrix_census.errors import BudgetError
 
-from conftest import make_rng
+from conftest import brute_irreducible, make_rng
 
 
 def test_is_prime_small():
@@ -38,6 +38,16 @@ def test_extension_moduli_are_first_in_scan_order():
     assert mc.make_field(3, 2).modulus == (1, 0, 1)
     # Over GF(2) the scan hits x^3+x+1 before x^3+x^2+1.
     assert mc.make_field(2, 3).modulus == (1, 1, 0, 1)
+    # Every modulus is the first polynomial of the scan that trial division
+    # accepts.
+    for p in (2, 3, 5, 7, 11, 13, 17, 31, 61):
+        F = mc.make_field(p)
+        k = 2
+        while p ** k <= 4096:
+            first = next(g for g in mc.monic_polys(F, k)
+                         if brute_irreducible(g))
+            assert mc.make_field(p, k).modulus == first.coeff_indices, (p, k)
+            k += 1
 
 
 def test_modulus_is_irreducible_no_roots():
@@ -295,12 +305,33 @@ def test_field_order_budget():
 
 
 def test_extension_field_above_log_table_cap_is_refused():
-    # refused before the modulus search or any table allocation
-    for p, k in ((2, 25), (3, 16)):
-        with pytest.raises(BudgetError, match="log-table cap"):
-            mc.FieldSpec(p, k, max_order=p ** k)
+    # named with its modulus and no tables; refused at the first arithmetic,
+    # before any table allocation, and again at every later one
+    for p, k, modulus in ((2, 25, (1, 0, 0, 1) + (0,) * 21 + (1,)),
+                          (3, 16, (1, 0, 1, 1) + (0,) * 12 + (1,))):
+        F = mc.FieldSpec(p, k, max_order=p ** k)
+        assert F.modulus == modulus
+        assert "_exp" not in vars(F)
+        for name in ("mul", "add", "primitive"):
+            with pytest.raises(BudgetError, match="log-table cap"):
+                getattr(F, name)
+        assert "_exp" not in vars(F)
     F = mc.FieldSpec(16777259, max_order=2 ** 25)  # prime fields have no tables
     assert F.mul(16777258, 16777258) == 1
+
+
+def test_extension_tables_are_built_on_first_arithmetic():
+    F = mc.FieldSpec(2, 20)
+    assert "_exp" not in vars(F) and "mul" not in vars(F)
+    a = F.index_of((0, 1))  # x
+    assert F.mul(a, a) == F.index_of((0, 0, 1))
+    assert "_exp" in vars(F)
+    assert F.mul(F.primitive, F.inv(F.primitive)) == 1
+
+
+def test_huge_extension_degree_is_refused_without_computing_the_order():
+    with pytest.raises(BudgetError, match=r"2\^100000 exceeds the budget"):
+        mc.make_field(2, 100000)
 
 
 def test_make_field_rejects_bad_parameters():
