@@ -1,11 +1,11 @@
 """Rational canonical form, similarity testing, and cyclic-vector machinery.
 
-``rcf`` decomposes the space into cyclic pieces by repeatedly extracting a
-vector of maximal order modulo the part already captured, correcting it so the
-new piece meets the old ones trivially, then splitting each cyclic piece into
-prime-power blocks.  Blocks are sorted by (irreducible base in canonical
-polynomial order, descending exponent), so two matrices are similar exactly
-when their block lists are equal.
+``rcf`` decomposes the space into cyclic pieces, each generated by a vector
+of maximal order modulo the part already captured: a sum of prime-power parts
+cut from the basis vectors, corrected so the new piece meets the old ones
+trivially.  Each cyclic piece is split into prime-power blocks, sorted by
+(irreducible base in canonical polynomial order, descending exponent), so two
+matrices are similar exactly when their block lists are equal.
 
 The transition matrix P always satisfies P^-1 M P = block diagonal of
 companion matrices; rcf re-checks this identity on every call in test builds.
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .factor import factorize
 from .field import FieldElement, FieldSpec
-from .matrix import (SquareMatrix, _conductor, _order_lcm, poly_times_vector,
-                     row_echelon)
+from .matrix import (SquareMatrix, _basis_conductors, _conductor,
+                     poly_times_vector, row_echelon)
 from .poly import Polynomial
 
 
@@ -64,7 +64,7 @@ def companion_block_diagonal(field: FieldSpec, blocks) -> SquareMatrix:
 def vector_order(M: SquareMatrix, v) -> Polynomial:
     """Monic generator of the annihilator {f : f(M) v = 0}."""
     v = [c.index if isinstance(c, FieldElement) else c for c in v]
-    return Polynomial._raw(M.field, _conductor(M, v, [], [])[0])
+    return _conductor(M, v, [], [])
 
 
 def _solve_columns(field, cols, target):
@@ -84,73 +84,72 @@ def _solve_columns(field, cols, target):
     return out
 
 
+def _maximal_vector(M, wrref, wpivots, cap):
+    """(v, f, factorize(f)), f the order of M on the quotient by span(W) and
+    v of conductor f there.  Each prime power of f is owned by the first e_i
+    whose conductor c_i it divides; e_i adds (c_i / what it owns)(M) e_i, and
+    parts of coprime conductors sum to one of conductor their product."""
+    field = M.field
+    conds, f = _basis_conductors(M, wrref, wpivots, cap)
+    fact = factorize(f)
+    owned = [Polynomial.one(field)] * len(conds)
+    for base, e in fact.factors:
+        ppow = base ** e
+        i = next(i for i, (_, c) in enumerate(conds) if (c % ppow).is_zero)
+        owned[i] = owned[i] * ppow
+    v = [0] * M.n
+    for (e_i, c), own in zip(conds, owned):
+        if own.degree:
+            part = poly_times_vector(c // own, M, e_i)
+            v = [field.add(x, y) for x, y in zip(v, part)]
+    return v, f, fact
+
+
 def rcf(M: SquareMatrix) -> RationalCanonicalForm:
+    """Prime-power companion blocks of M in canonical order, and P with
+    P^-1 M P their block diagonal.  Maximal vectors are built as in
+    Giesbrecht, *Nearly optimal algorithms for canonical matrix forms*
+    (SIAM J. Comput. 24, 1995): polynomially many field operations."""
     field = M.field
     n = M.n
-    q = field.q
-    gens = []          # (generator vector, invariant factor)
+    gens = []          # (generator vector, invariant factor, its factorization)
     wcols = []         # Krylov columns of the captured generators
     wrref, wpivots = [], []
 
     while len(wcols) < n:
-        target = _order_lcm(M, wrref, wpivots, n - len(wcols))
-        tdeg = target.degree
-
-        # first vector (by matrix-index encoding) whose conductor hits tdeg
-        chosen = None
-        for vi in range(1, q ** n):
-            v = []
-            t = vi
-            for _ in range(n):
-                v.append(t % q)
-                t //= q
-            coeffs, kry = _conductor(M, v, wrref, wpivots)
-            if len(coeffs) - 1 == tdeg:
-                chosen = (v, coeffs, kry)
-                break
-        assert chosen is not None, "no vector of maximal conductor found"
-        v, coeffs, kry = chosen
-        f = Polynomial._raw(field, list(coeffs))
-        assert f == target or f.degree == tdeg
+        v, f, fact = _maximal_vector(M, wrref, wpivots, n - len(wcols))
 
         # express f(M) v over the captured columns and correct v so that
-        # f(M) v = 0 exactly
-        add, mul = field.add, field.mul
-        u = [0] * n
-        for t, c in enumerate(coeffs):
-            if c:
-                kv = kry[t]
-                for s in range(n):
-                    if kv[s]:
-                        u[s] = add(u[s], mul(c, kv[s]))
+        # f(M) v = 0 exactly; v keeps its order f modulo span(W)
+        u = poly_times_vector(f, M, v)
         if any(u):
             a = _solve_columns(field, wcols, u)
-            assert a is not None, "conductor image escaped the captured space"
+            if a is None:
+                raise RuntimeError(
+                    "conductor image escaped the captured space")
             pos = 0
-            for gv, gf in gens:
+            for gv, gf, _ in gens:
                 d = gf.degree
                 gpoly = Polynomial._raw(field, list(a[pos:pos + d]))
                 pos += d
                 quo, rem = divmod(gpoly, f)
-                assert rem.is_zero, "maximal-conductor invariant violated"
+                if not rem.is_zero:
+                    raise RuntimeError("maximal-conductor invariant violated")
                 corr = poly_times_vector(quo, M, gv)
                 v = [field.sub(x, y) for x, y in zip(v, corr)]
-            coeffs2, kry = _conductor(M, v, [], [])
-            assert len(coeffs2) - 1 == f.degree
-            f = Polynomial._raw(field, list(coeffs2))
 
-        gens.append((list(v), f))
+        gens.append((v, f, fact))
         cur = list(v)
         for _ in range(f.degree):
             wcols.append(list(cur))
             cur = list(M.apply(cur))
         wrref, wpivots = row_echelon(field, [list(c) for c in wcols])
-        assert len(wpivots) == len(wcols), "cyclic pieces are not independent"
+        if len(wpivots) != len(wcols):
+            raise RuntimeError("cyclic pieces are not independent")
 
     # split each invariant factor into prime-power blocks
     records = []
-    for gv, gf in gens:
-        fact = factorize(gf)
+    for gv, gf, fact in gens:
         for base, e in fact.factors:
             ppow = base ** e
             u = poly_times_vector(gf // ppow, M, gv)

@@ -140,7 +140,9 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     for i in range(r):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(
+            f"Gaussian binomial [{n} {r}]_{q} is not an integer")
     return num // den
 
 

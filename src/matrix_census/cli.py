@@ -115,17 +115,22 @@ def _build_parser() -> _Parser:
 def _resolve_field(args):
     """The field named by --q and --k, checked against --field-budget."""
     q, k = args.q, args.k
-    if k is not None:
-        if k < 1:
-            raise _UsageError("--k must be a positive integer")
-        if not is_prime(q):
-            raise _UsageError("--q must be prime when --k is given")
-        p = q
-    else:
+    if k is not None and k < 1:
+        raise _UsageError("--k must be a positive integer")
+    # the order is at least q: a huge q is refused before the primality and
+    # prime-power tests, whose cost grows with q
+    if q > args.field_budget:
+        raise BudgetError(
+            f"field order {q} exceeds the budget {args.field_budget}")
+    if k is None:
         try:
             p, k = _prime_power(q)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+    elif not is_prime(q):
+        raise _UsageError("--q must be prime when --k is given")
+    else:
+        p = q
     return make_field(p, k, max_order=args.field_budget)
 
 

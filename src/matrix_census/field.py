@@ -182,10 +182,11 @@ def _log_tables(p: int, k: int, modulus: tuple):
 
 def _check_order(p: int, k: int, max_order: int) -> int:
     """q = p**k, once GF(p^k) is checked to exist within the budget."""
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise ValueError(f"characteristic must be prime, got {p!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
+    # the budget comes before the primality test, whose cost grows with p;
     # p**k >= 2**k > 2**64 * max_order: refused without computing p**k,
     # which can be too long to print or even to hold
     if k >= max_order.bit_length() + 64:
@@ -195,6 +196,8 @@ def _check_order(p: int, k: int, max_order: int) -> int:
     if q > max_order:
         raise BudgetError(
             f"field order {p}^{k} = {q} exceeds the budget {max_order}")
+    if not is_prime(p):
+        raise ValueError(f"characteristic must be prime, got {p!r}")
     return q
 
 

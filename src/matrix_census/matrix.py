@@ -6,7 +6,7 @@ recurrence, so it is exact for every field size; the determinant is recovered
 from it as (-1)^n * charpoly(0).
 
 ``row_echelon`` and ``nullspace`` are module-level helpers on plain lists of
-row vectors (used by the centralizer solver and the canonical-form search);
+row vectors (used by the centralizer solver and the canonical form);
 pivoting always picks the first row with a nonzero entry, so every reduced
 form and every kernel basis is deterministic.
 """
@@ -236,7 +236,7 @@ class SquareMatrix:
 
     def minpoly(self) -> Polynomial:
         """Least common multiple of the orders of the standard basis vectors."""
-        return _order_lcm(self, [], [], self.n)
+        return _basis_conductors(self, [], [], self.n)[1]
 
     def rank_kernel(self):
         """(rank, deterministic echelonized kernel basis)."""
@@ -342,21 +342,19 @@ def _reduce_mod(field, vec, rref_rows, pivots):
     return cur
 
 
-def _conductor(M, v, wrref, wpivots):
-    """(coeffs of the order of v in the quotient by span(W), raw Krylov list).
-
-    The order is the monic minimal f with f(M) v in span(W), given by the
-    RREF rows of W; coeffs ascending.  With W empty it is the order of v, and
-    the zero vector has order 1.
+def _conductor(M, v, wrref, wpivots) -> Polynomial:
+    """Order of v in the quotient by span(W): the monic minimal f with
+    f(M) v in span(W), given by the RREF rows of W.  With W empty it is the
+    order of v, and the zero vector has order 1.
     """
     field = M.field
     n = M.n
     sub, mul, inv = field.sub, field.mul, field.inv
     rows = []  # (pivot, reduced residual, combination over Krylov powers)
-    kry = [list(v)]
+    kv = list(v)  # M^j v
     j = 0
     while True:
-        cur = _reduce_mod(field, kry[j], wrref, wpivots)
+        cur = _reduce_mod(field, kv, wrref, wpivots)
         comb = [0] * (j + 1)
         comb[j] = 1
         for pivot, rv, rc in rows:
@@ -372,28 +370,30 @@ def _conductor(M, v, wrref, wpivots):
         if pivot is None:
             # sum(comb[t] M^t v) lies in span(W) and comb[j] = 1, so comb
             # is the monic conductor itself
-            return list(comb), kry
+            return Polynomial._raw(field, comb)
         ic = inv(cur[pivot])
         rows.append((pivot, [mul(c, ic) for c in cur],
                      [mul(c, ic) for c in comb]))
-        kry.append(list(M.apply(kry[j])))
+        kv = list(M.apply(kv))
         j += 1
 
 
-def _order_lcm(M, wrref, wpivots, cap: int) -> Polynomial:
-    """Order of M on the quotient by span(W): the lcm of the conductors of
-    e_0, ..., e_{n-1}, stopping once its degree reaches cap."""
+def _basis_conductors(M, wrref, wpivots, cap: int):
+    """([(e_i, conductor of e_i in the quotient by span(W))], their lcm),
+    the lcm being the order of M on the quotient; stops at lcm degree cap."""
     field = M.field
     n = M.n
-    result = Polynomial.one(field)
+    conds = []
+    lcm = Polynomial.one(field)
     for i in range(n):
         e = [0] * n
         e[i] = 1
-        order = Polynomial._raw(field, _conductor(M, e, wrref, wpivots)[0])
-        result = (result * order) // result.gcd(order)
-        if result.degree == cap:
+        c = _conductor(M, e, wrref, wpivots)
+        conds.append((e, c))
+        lcm = (lcm * c) // lcm.gcd(c)
+        if lcm.degree == cap:
             break
-    return result
+    return conds, lcm
 
 
 def row_echelon(field: FieldSpec, rows):

@@ -3,6 +3,8 @@
 import pytest
 
 import matrix_census as mc
+from matrix_census import canonical as canonical_mod
+from matrix_census import matrix as matrix_mod
 from matrix_census.poly import Polynomial
 
 from conftest import make_rng, rand_invertible, rand_matrix, rand_poly
@@ -172,11 +174,42 @@ def test_are_similar():
         mc.are_similar(A, mc.SquareMatrix.zero(F3, 2))
 
 
-def test_rcf_exhaustive_2x2_gf2():
-    # every 2x2 over GF(2): the transition check and block product hold
-    for idx in range(16):
-        A = mc.SquareMatrix.from_index(F2, 2, idx)
-        form = mc.rcf(A)
-        D = mc.companion_block_diagonal(F2, form.blocks)
-        assert A * form.transition == form.transition * D
-        assert _product(F2, form.blocks) == A.charpoly()
+def test_rcf_exhaustive_small():
+    # every 2x2 over GF(2), GF(3) and GF(4), and every 3x3 over GF(2): the
+    # transition conjugates and the blocks multiply to the charpoly.  Some
+    # maximal vectors are sums over two basis vectors, e.g. for diag(0,1)
+    # over GF(2), where e_0 has order x and e_1 order x+1
+    for field, n in ((F2, 2), (F3, 2), (F4, 2), (F2, 3)):
+        for idx in range(field.q ** (n * n)):
+            A = mc.SquareMatrix.from_index(field, n, idx)
+            form = mc.rcf(A)
+            D = mc.companion_block_diagonal(field, form.blocks)
+            assert bool(form.transition.det())
+            assert A * form.transition == form.transition * D
+            assert _product(field, form.blocks) == A.charpoly()
+
+
+def test_rcf_conductor_calls_are_polynomial(monkeypatch):
+    # the maximal vectors come from the basis vectors' conductors, so rcf
+    # needs at most n^2 of them; a scan of GF(q)^n would need thousands
+    calls = []
+    real = matrix_mod._conductor
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= limit, "too many conductor calls"
+        return real(*args)
+
+    monkeypatch.setattr(matrix_mod, "_conductor", counted)
+    monkeypatch.setattr(canonical_mod, "_conductor", counted)
+    cases = [
+        (mc.make_field(101), [0, 0, 0, 1], ["x", "x", "x", "x+100"]),
+        (mc.make_field(2, 8), [0, 0, 1, 1], ["x", "x", "x+1", "x+1"]),
+        (mc.make_field(31), [1, 1, 1, 1, 2],
+         ["x+29", "x+30", "x+30", "x+30", "x+30"]),
+    ]
+    for field, diag, want in cases:
+        limit = len(diag) ** 2
+        calls.clear()
+        form = mc.rcf(mc.SquareMatrix.diagonal(field, diag))
+        assert [mc.format_poly(b) for b in form.blocks] == want

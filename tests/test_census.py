@@ -180,7 +180,7 @@ def test_published_count_checks_survive_optimize():
         import sys
         from types import SimpleNamespace
         import matrix_census as mc
-        from matrix_census import census, factor
+        from matrix_census import canonical, census, factor
 
         if __debug__:
             sys.exit("not running under -O")
@@ -218,6 +218,16 @@ def test_published_count_checks_survive_optimize():
             factor.count_monic_irreducibles(F2, 3)
         except RuntimeError as exc:
             print("necklace:", exc)
+        # diag(0,1) has order x^2+x, but e_0 alone has order x, so its
+        # Krylov columns e_0, 0 are dependent
+        f = mc.parse_poly("x^2+x", F2)
+        fact = mc.factorize(f)
+        canonical._maximal_vector = lambda M, wrref, wpivots, cap: (
+            [1, 0], f, fact)
+        try:
+            mc.rcf(mc.SquareMatrix.diagonal(F2, [0, 1]))
+        except RuntimeError as exc:
+            print("rcf:", exc)
     """)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -229,7 +239,9 @@ def test_published_count_checks_survive_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["census", "count",
-                                                       "orbit", "necklace"]
+                                                       "orbit", "necklace",
+                                                       "rcf"]
+    assert lines[-1] == "rcf: cyclic pieces are not independent"
 
 
 def test_census_budget():

@@ -9,6 +9,7 @@ import pytest
 import matrix_census as mc
 import matrix_census.cli as cli
 from matrix_census import census as census_mod
+from matrix_census import field as field_mod
 
 
 def run_cli(capsys, *argv):
@@ -414,3 +415,23 @@ def test_main_entry_point(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main()
     assert info.value.code == 2  # no argv supplied
+
+
+def test_huge_q_is_refused_before_any_primality_test(capsys, monkeypatch):
+    def never(q):
+        raise AssertionError("primality test on an over-budget q")
+
+    monkeypatch.setattr(cli, "_prime_power", never)
+    monkeypatch.setattr(cli, "is_prime", never)
+    monkeypatch.setattr(field_mod, "is_prime", never)
+    q = "1000000000000000003"  # prime
+    for extra in ((), ("--k", "2")):
+        code, out, err = run_cli(capsys, "count", "--q", q, "--n", "2",
+                                 *extra)
+        assert code == 3 and out == ""
+        assert err == f"error:budget:field order {q} exceeds the budget " \
+                      f"{mc.DEFAULT_FIELD_ORDER_BUDGET}\n"
+    # not a prime power either, but over the budget all the same
+    code, _, err = run_cli(capsys, "count", "--q", str(2 ** 40 * 3), "--n",
+                           "2")
+    assert code == 3 and err.startswith("error:budget:")

@@ -4,6 +4,7 @@ arithmetic for prime fields and against the field axioms everywhere."""
 import pytest
 
 import matrix_census as mc
+from matrix_census import field as field_mod
 from matrix_census.errors import BudgetError
 
 from conftest import brute_irreducible, make_rng
@@ -332,6 +333,15 @@ def test_extension_tables_are_built_on_first_arithmetic():
 def test_huge_extension_degree_is_refused_without_computing_the_order():
     with pytest.raises(BudgetError, match=r"2\^100000 exceeds the budget"):
         mc.make_field(2, 100000)
+
+
+def test_huge_prime_is_refused_before_the_primality_test(monkeypatch):
+    def never(n):
+        raise AssertionError("primality test on an over-budget order")
+
+    monkeypatch.setattr(field_mod, "is_prime", never)
+    with pytest.raises(BudgetError, match="exceeds the budget"):
+        mc.make_field(1000000000000000003)
 
 
 def test_make_field_rejects_bad_parameters():
