@@ -17,8 +17,8 @@ from .centralizer import (CentralizerDescription, DEFAULT_SPAN_BUDGET,
 from .errors import BudgetError, ParseError, SingularMatrixError
 from .factor import (Factorization, count_monic_irreducibles, factorize,
                      is_irreducible)
-from .field import (DEFAULT_FIELD_ORDER_BUDGET, FieldElement, FieldSpec,
-                    field_from_order, is_prime, make_field)
+from .field import (DEFAULT_FIELD_ORDER_BUDGET, FieldSpec, field_from_order,
+                    is_prime, make_field)
 from .matrix import (SquareMatrix, evaluate_poly, format_matrix, parse_matrix,
                      poly_times_vector)
 from .poly import (NEG_INF, Polynomial, format_poly, monic_polys, parse_poly)
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_FIELD_ORDER_BUDGET",
     "DEFAULT_SPAN_BUDGET",
     "Factorization",
-    "FieldElement",
     "FieldSpec",
     "NEG_INF",
     "OrbitStabilizerReport",

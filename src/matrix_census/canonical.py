@@ -8,7 +8,7 @@ trivially.  Each cyclic piece is split into prime-power blocks, sorted by
 matrices are similar exactly when their block lists are equal.
 
 The transition matrix P always satisfies P^-1 M P = block diagonal of
-companion matrices; rcf re-checks this identity on every call in test builds.
+companion matrices; rcf re-checks this identity on every call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factor import factorize
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .matrix import (SquareMatrix, _basis_conductors, _conductor,
                      poly_times_vector, row_echelon)
 from .poly import Polynomial
@@ -63,7 +63,6 @@ def companion_block_diagonal(field: FieldSpec, blocks) -> SquareMatrix:
 
 def vector_order(M: SquareMatrix, v) -> Polynomial:
     """Monic generator of the annihilator {f : f(M) v = 0}."""
-    v = [c.index if isinstance(c, FieldElement) else c for c in v]
     return _conductor(M, v, [], [])
 
 
@@ -169,9 +168,9 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
         for i in range(n):
             flat[i * n + t] = c[i]
     P = SquareMatrix._raw(field, n, flat)
-    if __debug__:
-        D = companion_block_diagonal(field, blocks)
-        assert P.invert() * M * P == D, "transition identity failed"
+    # P^-1 M P = D, with a singular P an internal fault too
+    if not P.det() or M * P != P * companion_block_diagonal(field, blocks):
+        raise RuntimeError("transition identity failed")
     return RationalCanonicalForm(tuple(blocks), P, n)
 
 
@@ -183,7 +182,7 @@ def are_similar(A: SquareMatrix, B: SquareMatrix):
     rb = rcf(B)
     if ra.blocks != rb.blocks:
         return False, None
-    Q = ra.transition * rb.transition.invert()
-    if __debug__:
-        assert Q.invert() * A * Q == B
+    Q = ra.transition * rb.transition.invert()  # invertible, as both are
+    if A * Q != Q * B:
+        raise RuntimeError("similarity witness failed")
     return True, Q

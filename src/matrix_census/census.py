@@ -47,6 +47,7 @@ class PartitionReport:
     lhs_total: int
     rhs_total: int
     equal: bool
+    irreducible: frozenset  # the irreducible polynomials among the entries
 
 
 @dataclass(frozen=True)
@@ -189,12 +190,6 @@ def verify_partition(spec: FieldSpec, n: int, *,
                      seed: int = 0) -> PartitionReport:
     """Sum the closed-form count over every monic degree-n polynomial and
     compare with q^(n^2).  No matrix enumeration is involved."""
-    return _verify_partition(spec, n, budget, seed)[0]
-
-
-def _verify_partition(spec: FieldSpec, n: int, budget: int, seed: int):
-    """verify_partition's report and the set of irreducible polynomials
-    among those it factored."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
     q = spec.q
@@ -211,7 +206,8 @@ def _verify_partition(spec: FieldSpec, n: int, budget: int, seed: int):
     entries = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
     lhs = sum(entries.values())
     rhs = q ** (n * n)
-    return PartitionReport(q, n, entries, lhs, rhs, lhs == rhs), irreducible
+    return PartitionReport(q, n, entries, lhs, rhs, lhs == rhs,
+                           frozenset(irreducible))
 
 
 def orbit_stabilizer_report(M: SquareMatrix) -> OrbitStabilizerReport:

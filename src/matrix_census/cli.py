@@ -25,8 +25,8 @@ from .canonical import rcf
 from .centralizer import (DEFAULT_SPAN_BUDGET, _is_polynomial_centralizer,
                           _unit_count, centralizer)
 from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
-                     _verify_partition, census_bruteforce,
-                     count_irreducible_case, orbit_stabilizer_report)
+                     census_bruteforce, count_irreducible_case,
+                     orbit_stabilizer_report, verify_partition)
 from .errors import BudgetError, ParseError
 from .factor import factorize
 from .field import (DEFAULT_FIELD_ORDER_BUDGET, _prime_power, is_prime,
@@ -225,8 +225,8 @@ def _cmd_verify(args):
         census = census_bruteforce(field, n, budget=args.budget,
                                    threads=threads)
     if args.mode in ("formula", "both"):
-        partition, irreducible = _verify_partition(field, n, args.budget,
-                                                   args.seed)
+        partition = verify_partition(field, n, budget=args.budget,
+                                     seed=args.seed)
     if args.mode == "formula":
         ok = partition.equal
         total = partition.lhs_total
@@ -246,7 +246,7 @@ def _cmd_verify(args):
         for g, formula_count in partition.entries.items():
             got = census.entries.get(g, 0)
             row_ok = got == formula_count
-            if g in irreducible:
+            if g in partition.irreducible:
                 row_ok = row_ok and got == irreducible_count
             if not row_ok:
                 ok = False
@@ -325,7 +325,7 @@ def _cmd_factor(args):
     params = {"field": _field_params(field), "poly": format_poly(g),
               "seed": args.seed}
     result = {
-        "leading": str(fact.leading.index),
+        "leading": str(fact.leading),
         "factors": [[format_poly(f), m] for f, m in fact.factors],
     }
     return params, result

@@ -12,18 +12,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec, _trial_division
 from .poly import Polynomial
 
 
 @dataclass(frozen=True)
 class Factorization:
-    leading: FieldElement
+    leading: int  # index of the leading coefficient
     factors: tuple  # ((monic irreducible Polynomial, multiplicity), ...)
 
-    def expand(self) -> Polynomial:
-        field = self.leading.field
-        out = Polynomial._raw(field, [self.leading.index])
+    def expand(self, field: FieldSpec) -> Polynomial:
+        """The product leading * f^m over the factors, in GF(q)[x]."""
+        out = Polynomial._raw(field, [self.leading])
         for f, m in self.factors:
             out = out * pow(f, m)
         return out
@@ -34,7 +34,8 @@ class Factorization:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for i = 1, ..., deg(f)/2.
+    """Ben-Or's test: gcd(x^(q^i) - x, f) = 1 for i = 1, ..., deg(f)/2,
+    which is when the distinct-degree split first yields degree deg(f).
 
     A reducible f has a factor of degree i <= deg(f)/2, which divides
     x^(q^i) - x; most reducible inputs fail at a small i (Ben-Or, FOCS 1981;
@@ -42,18 +43,9 @@ def is_irreducible(f: Polynomial) -> bool:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no irreducibility status")
-    n = f.degree
-    if n == 0:
+    if f.degree == 0:
         return False
-    f = f.monic()
-    q = f.field.q
-    x = Polynomial.x(f.field)
-    h = x
-    for _ in range(n // 2):
-        h = pow(h, q, f)
-        if f.gcd(h - x).degree != 0:
-            return False
-    return True
+    return next(_distinct_degree(f.monic()))[0] == f.degree
 
 
 def _pth_root(f: Polynomial) -> Polynomial:
@@ -65,9 +57,8 @@ def _pth_root(f: Polynomial) -> Polynomial:
     e = p ** (k - 1)
     for i in range(0, len(cs), p):
         out.append(field.pow(cs[i], e))
-    if __debug__:
-        for i, c in enumerate(cs):
-            assert c == 0 or i % p == 0, "not a p-th power"
+    if any(c for i, c in enumerate(cs) if i % p):
+        raise RuntimeError("not a p-th power")
     return Polynomial._raw(field, out)
 
 
@@ -96,25 +87,24 @@ def _squarefree_parts(f: Polynomial) -> list:
     return parts
 
 
-def _distinct_degree(v: Polynomial) -> list:
-    """[(d, product of the irreducible factors of degree d)] for squarefree v."""
-    field = v.field
-    q = field.q
-    x = Polynomial.x(field)
-    out = []
+def _distinct_degree(v: Polynomial):
+    """Yield (d, product of the irreducible factors of degree d) for monic
+    squarefree v, d ascending.  For any monic v the first d is deg(v)
+    exactly when v is irreducible."""
+    q = v.field.q
+    x = Polynomial.x(v.field)
     h = x
     d = 1
     while 2 * d <= v.degree:
         h = pow(h, q, v)
-        g = (h - x).gcd(v)
+        g = v.gcd(h - x)
         if g.degree > 0:
-            out.append((d, g))
+            yield d, g
             v = v // g
             h = h % v
         d += 1
     if v.degree > 0:
-        out.append((v.degree, v))
-    return out
+        yield v.degree, v
 
 
 def _edf_split(u: Polynomial, d: int, rng: random.Random) -> Polynomial:
@@ -172,11 +162,10 @@ def factorize(g: Polynomial, seed: int = 0) -> Factorization:
             for f in _equal_degree(prod_d, d, rng):
                 found.append((f, mult))
     found.sort(key=lambda t: t[0].sort_key())
-    if __debug__:
-        fact = Factorization(lead, tuple(found))
-        assert fact.expand() == g, "factorization does not reconstruct input"
-        return fact
-    return Factorization(lead, tuple(found))
+    fact = Factorization(lead, tuple(found))
+    if fact.expand(g.field) != g:
+        raise RuntimeError("factorization does not reconstruct input")
+    return fact
 
 
 def count_monic_irreducibles(field: FieldSpec, n: int) -> int:
@@ -197,18 +186,9 @@ def count_monic_irreducibles(field: FieldSpec, n: int) -> int:
 
 
 def _moebius(d: int) -> int:
-    if d == 1:
-        return 1
     mu = 1
-    t = d
-    p = 2
-    while p * p <= t:
-        if t % p == 0:
-            t //= p
-            if t % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if t > 1:
+    for _, e in _trial_division(d):
+        if e > 1:
+            return 0
         mu = -mu
     return mu

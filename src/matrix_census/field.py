@@ -3,9 +3,7 @@
 Elements are canonically encoded as integers in [0, q): the element with
 coefficient vector (c_0, ..., c_{k-1}) over GF(p) has index sum(c_i * p**i).
 ``FieldSpec`` operates directly on these indices, and every layer above it
-(polynomials, matrices, the census) computes through its bound ops;
-``FieldElement`` is a thin immutable wrapper for callers that prefer operator
-syntax.
+(polynomials, matrices, the census) computes through its bound ops.
 
 For an extension field the modulus is the first monic irreducible polynomial
 of degree k in the ascending scan of coefficient vectors, so two constructions
@@ -42,38 +40,30 @@ _LOG_TABLE_CAP = 2 ** 24
 _LAZY = frozenset("add sub mul neg inv primitive _exp _log".split())
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _trial_division(n: int):
+    """Yield (p, e) for each prime p with p^e exactly dividing n >= 1, in
+    ascending order, by trial division by 2 and then by odd numbers."""
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            yield d, e
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test."""
+    return n >= 2 and next(_trial_division(n)) == (n, 1)
 
 
 def _ints(n: int):
     """n zeros packed as 4-byte ints, indexed like a list."""
     return memoryview(bytearray(4 * n)).cast("i")
-
-
-def _prime_divisors(n: int) -> list:
-    """The distinct primes dividing n >= 1, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _shift_ops(p: int, k: int, modulus: tuple):
@@ -147,7 +137,7 @@ def _log_tables(p: int, k: int, modulus: tuple):
         return r
 
     # indices below p are the prime field, of order dividing p - 1
-    primes = _prime_divisors(n1)
+    primes = [r for r, _ in _trial_division(n1)]
     g = next(c for c in range(p, q)
              if all(power(c, n1 // r) != 1 for r in primes))
     # Walk the powers of x (index p), O(1) per step, over the u cosets of
@@ -354,28 +344,6 @@ class FieldSpec:
             v = v * self.p + c
         return v
 
-    # Element-level conveniences.
-
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
-
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self.index_of(coeffs))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def gen(self) -> "FieldElement":
-        """The residue of x in GF(p)[x]/(modulus); for k = 1 just 1."""
-        return FieldElement(self, self.p if self.k > 1 else 1)
-
-    def elements(self):
-        for i in range(self.q):
-            yield FieldElement(self, i)
-
     def parse_element(self, text: str) -> int:
         """Element text format: the decimal index in [0, q)."""
         try:
@@ -408,83 +376,6 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, k={self.k})"
 
 
-class FieldElement:
-    """An element of a FieldSpec, identified by its canonical index."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: FieldSpec, index: int):
-        if not isinstance(index, int) or not 0 <= index < field.q:
-            raise ValueError(f"element index {index!r} out of range [0, {field.q})")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.field.coeffs_of(self.index)
-
-    def _check(self, other):
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.index, other.index))
-
-    def __sub__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.index, other.index))
-
-    def __mul__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
-
-    def __truediv__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return FieldElement(self.field,
-                            self.field.mul(self.index, self.field.inv(other.index)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.index == other.index
-
-    def __hash__(self):
-        return hash((self.field, self.index))
-
-    def __str__(self):
-        return str(self.index)
-
-    def __repr__(self):
-        return f"FieldElement({self.field}, {self.index})"
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_field(p: int, k: int, max_order: int) -> FieldSpec:
     return FieldSpec(p, k, max_order=max_order)
@@ -500,19 +391,8 @@ def _prime_power(q: int) -> tuple:
     """(p, k) with q = p**k and p prime."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an integer >= 2, got {q!r}")
-    p = q
-    for d in range(2, q):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    t = q
-    while t % p == 0:
-        t //= p
-        k += 1
-    if t != 1:
+    p, k = next(_trial_division(q))
+    if p ** k != q:
         raise ValueError(f"{q} is not a prime power")
     return p, k
 
@@ -520,5 +400,8 @@ def _prime_power(q: int) -> tuple:
 def field_from_order(q: int, *,
                      max_order: int = DEFAULT_FIELD_ORDER_BUDGET) -> FieldSpec:
     """GF(q) for a prime power q, decomposing q as p^k."""
+    # the budget comes before the prime-power test, whose cost grows with q
+    if isinstance(q, int) and q > max_order:
+        raise BudgetError(f"field order {q} exceeds the budget {max_order}")
     p, k = _prime_power(q)
     return make_field(p, k, max_order=max_order)

@@ -14,17 +14,13 @@ form and every kernel basis is deterministic.
 from __future__ import annotations
 
 from .errors import ParseError, SingularMatrixError
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .poly import Polynomial
 
 
 def _coerce_index(field, c) -> int:
-    """Entry to its index: elements pass through, ints reduce mod p over a
-    prime field and must be canonical indices over an extension."""
-    if isinstance(c, FieldElement):
-        if c.field != field:
-            raise ValueError("entry from a different field")
-        return c.index
+    """Entry to its index: ints reduce mod p over a prime field and must be
+    canonical indices over an extension."""
     if isinstance(c, int):
         if field.k == 1:
             return c % field.p
@@ -129,10 +125,6 @@ class SquareMatrix:
             raise IndexError(f"entry ({i}, {j}) out of range")
         return self._e[i * self.n + j]
 
-    def __getitem__(self, key) -> FieldElement:
-        i, j = key
-        return FieldElement(self.field, self.entry_index(i, j))
-
     def rows_idx(self) -> list:
         n = self.n
         return [list(self._e[i * n:(i + 1) * n]) for i in range(n)]
@@ -204,17 +196,8 @@ class SquareMatrix:
                 base = base * base
         return result
 
-    def transpose(self) -> "SquareMatrix":
-        n = self.n
-        out = [0] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                out[j * n + i] = self._e[i * n + j]
-        return SquareMatrix._raw(self.field, n, out)
-
     def apply(self, v) -> tuple:
         """Matrix times column vector of element indices."""
-        v = [c.index if isinstance(c, FieldElement) else c for c in v]
         if len(v) != self.n:
             raise ValueError(f"expected a vector of length {self.n}")
         n = self.n
@@ -238,17 +221,10 @@ class SquareMatrix:
         """Least common multiple of the orders of the standard basis vectors."""
         return _basis_conductors(self, [], [], self.n)[1]
 
-    def rank_kernel(self):
-        """(rank, deterministic echelonized kernel basis)."""
-        rref, pivots = row_echelon(self.field, self.rows_idx())
-        return len(pivots), _kernel_from_rref(self.field, rref, pivots, self.n)
-
-    def det(self) -> FieldElement:
+    def det(self) -> int:
         """(-1)^n times the constant term of the characteristic polynomial."""
         c0 = self.charpoly().coeff_indices[0]
-        if self.n % 2:
-            c0 = self.field.neg(c0)
-        return FieldElement(self.field, c0)
+        return self.field.neg(c0) if self.n % 2 else c0
 
     def invert(self) -> "SquareMatrix":
         n = self.n
@@ -432,7 +408,9 @@ def row_echelon(field: FieldSpec, rows):
     return rows[:r], pivots
 
 
-def _kernel_from_rref(field, rref, pivots, ncols):
+def nullspace(field: FieldSpec, rows, ncols: int):
+    """Deterministic echelonized basis of {v : R v = 0} for the given rows."""
+    rref, pivots = row_echelon(field, rows)
     neg = field.neg
     pivot_set = set(pivots)
     basis = []
@@ -446,12 +424,6 @@ def _kernel_from_rref(field, rref, pivots, ncols):
                 v[pc] = neg(rref[r][j])
         basis.append(tuple(v))
     return basis
-
-
-def nullspace(field: FieldSpec, rows, ncols: int):
-    """Deterministic echelonized basis of {v : R v = 0} for the given rows."""
-    rref, pivots = row_echelon(field, rows)
-    return _kernel_from_rref(field, rref, pivots, ncols)
 
 
 def evaluate_poly(f: Polynomial, M: SquareMatrix) -> SquareMatrix:
@@ -469,7 +441,6 @@ def poly_times_vector(f: Polynomial, M: SquareMatrix, v) -> tuple:
     if f.field != M.field:
         raise ValueError("polynomial and matrix over different fields")
     add, mul = M.field.add, M.field.mul
-    v = [c.index if isinstance(c, FieldElement) else c for c in v]
     acc = [0] * M.n
     for c in reversed(f.coeff_indices):
         acc = list(M.apply(acc))

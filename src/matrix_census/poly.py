@@ -9,7 +9,7 @@ arithmetic without a fake -1.
 from __future__ import annotations
 
 from .errors import ParseError
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 
 NEG_INF = float("-inf")
 
@@ -22,11 +22,7 @@ class Polynomial:
     def __init__(self, field: FieldSpec, coeffs=()):
         cs = []
         for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise ValueError("coefficient from a different field")
-                cs.append(c.index)
-            elif isinstance(c, int):
+            if isinstance(c, int):
                 if field.k == 1:
                     cs.append(c % field.p)
                 elif 0 <= c < field.q:
@@ -88,18 +84,10 @@ class Polynomial:
         return self._c
 
     @property
-    def coefficients(self) -> tuple:
-        return tuple(FieldElement(self.field, c) for c in self._c)
-
-    @property
-    def leading(self) -> FieldElement:
+    def leading(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self._c[-1])
-
-    def coeff(self, i: int) -> FieldElement:
-        c = self._c[i] if 0 <= i < len(self._c) else 0
-        return FieldElement(self.field, c)
+        return self._c[-1]
 
     def _check(self, other):
         if not isinstance(other, Polynomial):
@@ -154,10 +142,8 @@ class Polynomial:
                         out[i + j] = add(out[i + j], mul(ca, cb))
         return Polynomial._raw(self.field, out)
 
-    def scale(self, c) -> "Polynomial":
-        """Multiply by the constant with index c (or a FieldElement)."""
-        if isinstance(c, FieldElement):
-            c = c.index
+    def scale(self, c: int) -> "Polynomial":
+        """Multiply by the constant with index c."""
         mul = self.field.mul
         return Polynomial._raw(self.field, [mul(x, c) for x in self._c])
 
@@ -210,17 +196,18 @@ class Polynomial:
                 base = red(base * base)
         return Polynomial.one(self.field) if result is None else result
 
-    def __call__(self, point: FieldElement) -> FieldElement:
-        if not isinstance(point, FieldElement):
-            raise TypeError("evaluation point must be a FieldElement")
-        if point.field != self.field:
-            raise ValueError("evaluation point from a different field")
+    def __call__(self, x: int) -> int:
+        """The value at the element with index x, by Horner."""
+        if not isinstance(x, int):
+            raise TypeError(f"evaluation point must be an index, got {x!r}")
+        if not 0 <= x < self.field.q:
+            raise ValueError(
+                f"evaluation point {x} out of range [0, {self.field.q})")
         add, mul = self.field.add, self.field.mul
         acc = 0
-        x = point.index
         for c in reversed(self._c):
             acc = add(mul(acc, x), c)
-        return FieldElement(self.field, acc)
+        return acc
 
     def monic(self) -> "Polynomial":
         if self.is_zero or self._c[-1] == 1:
@@ -240,14 +227,6 @@ class Polynomial:
         p = self.field.p
         out = [mul(c, i % p) for i, c in enumerate(self._c)][1:]
         return Polynomial._raw(self.field, out)
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)) by Horner."""
-        self._check(inner)
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self._c):
-            acc = acc * inner + Polynomial._raw(self.field, [c])
-        return acc
 
     def sort_key(self):
         """Canonical order: (degree, coefficient indices low power to high)."""

@@ -21,7 +21,7 @@ def rand_invertible(spec, n, rng):
     """Rejection-sampled invertible matrix."""
     while True:
         M = rand_matrix(spec, n, rng)
-        if bool(M.det()):
+        if M.det() != 0:
             return M
 
 

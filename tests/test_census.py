@@ -53,7 +53,7 @@ def test_gl_order_matches_enumeration():
     for field, n in ((F2, 2), (F3, 2), (F2, 3)):
         count = 0
         for idx in range(field.q ** (n * n)):
-            if bool(mc.SquareMatrix.from_index(field, n, idx).det()):
+            if mc.SquareMatrix.from_index(field, n, idx).det() != 0:
                 count += 1
         assert count == mc.gl_order(field.q, n)
 
@@ -222,12 +222,43 @@ def test_published_count_checks_survive_optimize():
         # Krylov columns e_0, 0 are dependent
         f = mc.parse_poly("x^2+x", F2)
         fact = mc.factorize(f)
+        real_maximal_vector = canonical._maximal_vector
         canonical._maximal_vector = lambda M, wrref, wpivots, cap: (
             [1, 0], f, fact)
         try:
             mc.rcf(mc.SquareMatrix.diagonal(F2, [0, 1]))
         except RuntimeError as exc:
             print("rcf:", exc)
+        canonical._maximal_vector = real_maximal_vector
+        # a wrong block diagonal fails P^-1 M P = D
+        real_rcf = canonical.rcf
+        canonical.companion_block_diagonal = (
+            lambda field, blocks: mc.SquareMatrix.zero(field, 2))
+        try:
+            mc.rcf(mc.parse_matrix("0,1;1,1", F2))
+        except RuntimeError as exc:
+            print("transition:", exc)
+        # the same blocks with identity transitions make Q = I, but the
+        # similar matrices A and B differ
+        canonical.rcf = lambda M: mc.RationalCanonicalForm(
+            (quad,), mc.SquareMatrix.identity(F2, 2), 2)
+        try:
+            mc.are_similar(mc.parse_matrix("0,1;1,1", F2),
+                           mc.parse_matrix("1,1;1,0", F2))
+        except RuntimeError as exc:
+            print("similar:", exc)
+        canonical.rcf = real_rcf
+        # x + 1 has a nonzero derivative, so it is no square over GF(2)
+        try:
+            factor._pth_root(mc.parse_poly("x+1", F2))
+        except RuntimeError as exc:
+            print("root:", exc)
+        # x^3+x+1 reported as squarefree part of multiplicity 2
+        factor._squarefree_parts = lambda g: [(g, 2)]
+        try:
+            mc.factorize(mc.parse_poly("x^3+x+1", F2))
+        except RuntimeError as exc:
+            print("factorize:", exc)
     """)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -238,10 +269,15 @@ def test_published_count_checks_survive_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["census", "count",
-                                                       "orbit", "necklace",
-                                                       "rcf"]
-    assert lines[-1] == "rcf: cyclic pieces are not independent"
+    assert [line.split(":")[0] for line in lines] == [
+        "census", "count", "orbit", "necklace", "rcf", "transition",
+        "similar", "root", "factorize"]
+    assert lines[4:] == [
+        "rcf: cyclic pieces are not independent",
+        "transition: transition identity failed",
+        "similar: similarity witness failed",
+        "root: not a p-th power",
+        "factorize: factorization does not reconstruct input"]
 
 
 def test_census_budget():
@@ -261,6 +297,9 @@ def test_verify_partition():
         assert rep.lhs_total == rep.rhs_total == field.q ** (n * n)
         assert len(rep.entries) == field.q ** n
         assert sum(rep.entries.values()) == rep.lhs_total
+        assert rep.irreducible == {g for g in rep.entries
+                                   if mc.is_irreducible(g)}
+        assert len(rep.irreducible) == mc.count_monic_irreducibles(field, n)
 
 
 def test_verify_partition_budget():
@@ -298,7 +337,7 @@ def test_orbit_size_matches_explicit_conjugation_orbit():
     seen = set()
     for idx in range(81):
         P = mc.SquareMatrix.from_index(F3, 2, idx)
-        if bool(P.det()):
+        if P.det() != 0:
             seen.add(P.invert() * M * P)
     rep = mc.orbit_stabilizer_report(M)
     assert len(seen) == rep.orbit_size == 6

@@ -1,6 +1,8 @@
 """Centralizer algebras, their unit groups, subspace counts, and invariant
 subspaces, cross-checked against whole-space enumeration where feasible."""
 
+import itertools
+
 import pytest
 
 import matrix_census as mc
@@ -45,7 +47,7 @@ def test_centralizer_against_full_enumeration():
         commuting = _enumerate_commuting(M)
         assert desc.order == len(commuting)
         assert desc.order == M.field.q ** desc.dimension
-        units = sum(1 for X in commuting if bool(X.det()))
+        units = sum(1 for X in commuting if X.det() != 0)
         assert mc.centralizer_unit_count(M) == units
         for B in desc.basis:
             assert B * M == M * B
@@ -117,6 +119,23 @@ def test_is_polynomial_centralizer():
     # scalar matrices in dimension >= 2 are not
     assert not mc.is_polynomial_centralizer(mc.SquareMatrix.identity(F2, 2))
     assert not mc.is_polynomial_centralizer(mc.SquareMatrix.zero(F3, 3))
+
+
+def test_is_polynomial_centralizer_against_enumeration():
+    # oracle: the commuting matrices found by scanning the whole space,
+    # against {f(M) : deg f < n}
+    rng = make_rng(97)
+    cases = [mc.SquareMatrix.from_index(field, 2, idx)
+             for field in (F2, F3) for idx in range(field.q ** 4)]
+    cases += [rand_matrix(F2, 3, rng) for _ in range(12)]
+    cases += [mc.SquareMatrix.identity(F2, 3),
+              mc.SquareMatrix.diagonal(F2, [0, 0, 1])]
+    for M in cases:
+        field, n = M.field, M.n
+        commuting = set(_enumerate_commuting(M))
+        polys = {mc.evaluate_poly(mc.Polynomial(field, list(cs)), M)
+                 for cs in itertools.product(range(field.q), repeat=n)}
+        assert mc.is_polynomial_centralizer(M) == (commuting == polys)
 
 
 def test_gaussian_binomial_values():
@@ -242,5 +261,5 @@ def test_centralizer_span_is_field_when_charpoly_irreducible():
             for c, B in zip(coeffs, desc.basis):
                 X = X + B.scale(c)
             if any(coeffs):
-                assert bool(X.det())
+                assert X.det() != 0
         assert mc.centralizer_unit_count(M) == desc.order - 1

@@ -38,10 +38,10 @@ def test_is_irreducible_edge_cases():
 def test_char2_square_splits():
     f = mc.parse_poly("x^4+x^2+1", F2)  # (x^2+x+1)^2
     fact = mc.factorize(f)
-    assert fact.leading == F2.one()
+    assert fact.leading == 1
     assert [(mc.format_poly(g), m) for g, m in fact.factors] == \
         [("x^2+x+1", 2)]
-    assert fact.expand() == f
+    assert fact.expand(F2) == f
 
 
 def test_pth_power_multiplicities():
@@ -61,7 +61,7 @@ def test_factorize_reconstructs_random_inputs():
         for _ in range(40):
             f = rand_poly(field, rng.randrange(1, 8), rng, monic=False)
             fact = mc.factorize(f)
-            assert fact.expand() == f
+            assert fact.expand(field) == f
             assert fact.leading == f.leading
             for g, m in fact.factors:
                 assert g.is_monic and m >= 1
@@ -107,8 +107,8 @@ def test_factorize_canonical_order_and_seed_independence():
 
 def test_factorize_degree_zero_and_errors():
     fact = mc.factorize(P(F3, 2))
-    assert fact.factors == () and fact.leading == F3.element(2)
-    assert fact.expand() == P(F3, 2)
+    assert fact.factors == () and fact.leading == 2
+    assert fact.expand(F3) == P(F3, 2)
     with pytest.raises(ValueError):
         mc.factorize(Polynomial.zero(F3))
 

@@ -234,51 +234,26 @@ def test_frobenius_is_field_automorphism():
 def test_generator_is_root_of_modulus():
     for p, k in ((2, 2), (3, 2), (2, 4), (5, 2)):
         F = mc.make_field(p, k)
-        g = F.gen()
-        assert g.index == p  # the residue of x has digit vector (0, 1, 0, ...)
-        acc = F.zero()
-        power = F.one()
+        x = p  # the residue of x has digit vector (0, 1, 0, ...)
+        assert F.coeffs_of(x) == (0, 1) + (0,) * (k - 2)
+        acc, power = 0, 1
         for c in F.modulus:
-            acc = acc + power * F.element(c % p)
-            power = power * g
-        assert acc.index == 0
-
-
-def test_element_wrappers_and_operators():
-    F = mc.make_field(3, 2)
-    a = F.element(5)
-    b = F.element(7)
-    assert (a + b).index == F.add(5, 7)
-    assert (a - b).index == F.sub(5, 7)
-    assert (a * b).index == F.mul(5, 7)
-    assert (-a).index == F.neg(5)
-    assert (a / b).index == F.mul(5, F.inv(7))
-    assert (a ** 4).index == F.pow(5, 4)
-    assert a.inv().index == F.inv(5)
-    assert a.frobenius().index == F.frobenius(5)
-    assert bool(a) and not bool(F.zero())
-    assert a == F.element(5) and a != b
-    assert len({F.element(5), F.element(5), b}) == 2
-
-
-def test_element_rejects_foreign_operands():
-    F = mc.make_field(3)
-    G = mc.make_field(5)
-    a = F.element(1)
-    with pytest.raises(TypeError):
-        a + 1
-    with pytest.raises(TypeError):
-        1 + a
-    with pytest.raises(ValueError):
-        a + G.element(1)
+            acc = F.add(acc, F.mul(power, c))
+            power = F.mul(power, x)
+        assert acc == 0
 
 
 def test_element_index_range_checked():
-    F = mc.make_field(3)
+    F = mc.make_field(3, 2)
+    for bad in (9, -1):
+        with pytest.raises(ValueError):
+            F.coeffs_of(bad)
+        with pytest.raises(ValueError):
+            mc.Polynomial(F, [bad])
+        with pytest.raises(ValueError):
+            mc.Polynomial(F, [1, 1])(bad)
     with pytest.raises(ValueError):
-        F.element(3)
-    with pytest.raises(ValueError):
-        F.element(-1)
+        mc.SquareMatrix.scalar(F, 2, 9)
 
 
 def test_parse_format_element_round_trip():
@@ -371,11 +346,39 @@ def test_make_field_caches_instances():
     assert mc.make_field(3) is mc.field_from_order(3)
 
 
-def test_field_spec_equality_and_elements_iteration():
+def test_field_spec_equality_and_hash():
     F = mc.make_field(2, 2)
     G = mc.make_field(2, 2)
     assert F == G and hash(F) == hash(G)
     assert F != mc.make_field(2)
-    listed = list(F.elements())
-    assert [e.index for e in listed] == [0, 1, 2, 3]
-    assert all(e.field is F for e in listed)
+
+
+def test_huge_order_is_refused_before_the_prime_power_test(monkeypatch):
+    def never(q):
+        raise AssertionError("prime-power test on an over-budget order")
+
+    monkeypatch.setattr(field_mod, "_prime_power", never)
+    with pytest.raises(BudgetError, match="exceeds the budget"):
+        mc.field_from_order(1000000000000000003)
+
+
+def test_trial_division_against_brute_force():
+    def naive_prime(n):
+        return n >= 2 and all(n % d for d in range(2, n))
+
+    for n in range(1, 700):
+        found = list(field_mod._trial_division(n))
+        assert [p for p, _ in found] == \
+            [p for p in range(2, n + 1) if n % p == 0 and naive_prime(p)]
+        prod = 1
+        for p, e in found:
+            prod *= p ** e
+            assert n % p ** e == 0 and (n // p ** e) % p
+        assert prod == n
+        if n >= 2:
+            assert mc.is_prime(n) == naive_prime(n)
+            if len(found) == 1:
+                assert field_mod._prime_power(n) == found[0]
+            else:
+                with pytest.raises(ValueError):
+                    field_mod._prime_power(n)

@@ -30,12 +30,15 @@ def test_construction_strips_trailing_zeros():
 
 
 def test_construction_accepts_elements_and_reduces_ints():
-    f = Polynomial(F3, [F3.element(2), 4])  # 4 reduces to 1 mod 3
+    # elements are indices
+    f = Polynomial(F3, [2, 4])  # 4 reduces to 1 mod 3
     assert f.coeff_indices == (2, 1)
     with pytest.raises(ValueError):
         Polynomial(F9, [9])  # extension fields take indices, not residues
-    g = Polynomial(F9, [F9.element(8)])
+    g = Polynomial(F9, [8])
     assert g.coeff_indices == (8,)
+    with pytest.raises(ValueError):
+        Polynomial(F3, ["2"])
 
 
 def test_classmethod_constructors():
@@ -52,7 +55,8 @@ def test_degree_and_monic_flags():
     assert P(F3, 0, 0, 1).is_monic
     assert not P(F3, 0, 0, 2).is_monic
     assert not P(F3).is_monic
-    assert P(F3, 1, 2).leading == F3.element(2)
+    assert P(F3, 1, 2).leading == 2
+    assert P(F9, 1, 7).leading == 7
 
 
 def test_ring_axioms_random():
@@ -145,15 +149,19 @@ def test_evaluation_horner_matches_direct():
     for field in (F3, F9):
         for _ in range(30):
             f = rand_poly(field, rng.randrange(0, 5), rng, monic=False)
-            a = field.element(rng.randrange(field.q))
-            direct = field.zero()
+            g = rand_poly(field, rng.randrange(0, 5), rng, monic=False)
+            a = rng.randrange(field.q)
+            direct = 0
             for i, c in enumerate(f.coeff_indices):
-                direct = direct + field.element(c) * a ** i
+                direct = field.add(direct, field.mul(c, field.pow(a, i)))
             assert f(a) == direct
+            # evaluation is a ring homomorphism
+            assert (f + g)(a) == field.add(f(a), g(a))
+            assert (f * g)(a) == field.mul(f(a), g(a))
     with pytest.raises(TypeError):
-        P(F3, 1, 1)(2)  # evaluation points must be field elements
+        P(F3, 1, 1)(None)  # evaluation points are element indices
     with pytest.raises(ValueError):
-        P(F3, 1, 1)(F2.element(1))
+        P(F3, 1, 1)(3)
 
 
 def test_scale_and_monic():
@@ -177,17 +185,6 @@ def test_derivative_rules():
     # p-th powers have zero derivative
     assert (P(F2, 1, 1) * P(F2, 1, 1)).derivative().is_zero
     assert P(F3, 0, 0, 0, 1).derivative().is_zero  # x^3 over GF(3)
-
-
-def test_compose_pointwise():
-    rng = make_rng(29)
-    for field in (F3, F4):
-        for _ in range(20):
-            f = rand_poly(field, rng.randrange(0, 4), rng, monic=False)
-            g = rand_poly(field, rng.randrange(0, 4), rng, monic=False)
-            h = f.compose(g)
-            for a in field.elements():
-                assert h(a) == f(g(a))
 
 
 def test_monic_polys_enumeration():

@@ -5,25 +5,27 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "matrix_census"
 
+# ``python -O`` strips every assert and every ``if __debug__:`` body, so a
+# check that guards published output must be neither: it raises instead.
 
-def _unguarded_asserts(node):
-    """Assert statements under node that are not in an ``if __debug__:``
-    body; ``python -O`` strips every assert, so only test-build
-    cross-checks may be asserts."""
-    if isinstance(node, ast.Assert):
-        yield node
-    debug = (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
-             and node.test.id == "__debug__")
-    for child in ast.iter_child_nodes(node):
-        if not (debug and child in node.body):
-            yield from _unguarded_asserts(child)
+
+def _sources():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    return [(path, path.read_text()) for path in paths]
 
 
 def test_no_output_guarding_assert_in_src():
-    paths = sorted(SRC.glob("*.py"))
-    assert paths
     found = [f"{path.name}:{node.lineno}"
-             for path in paths
-             for node in _unguarded_asserts(ast.parse(path.read_text(),
-                                                      str(path)))]
+             for path, text in _sources()
+             for node in ast.walk(ast.parse(text, str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_debug_only_code_in_src():
+    found = [f"{path.name}:{i}"
+             for path, text in _sources()
+             for i, line in enumerate(text.splitlines(), 1)
+             if "__debug__" in line]
     assert found == []
