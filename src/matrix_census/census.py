@@ -169,6 +169,11 @@ def census_bruteforce(spec: FieldSpec, n: int, *,
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
     q = spec.q
+    # q**(n*n) >= 2**(n*n*(bits of q - 1)) > 2**64 * budget: refused without
+    # computing q**(n*n), which can be too long to print or even to hold
+    if n * n * (q.bit_length() - 1) >= budget.bit_length() + 64:
+        raise BudgetError(
+            f"census of {q}^{n * n} matrices exceeds the budget {budget}")
     total = q ** (n * n)
     if total > budget:
         raise BudgetError(
@@ -193,6 +198,9 @@ def verify_partition(spec: FieldSpec, n: int, *,
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
     q = spec.q
+    if n * (q.bit_length() - 1) >= budget.bit_length() + 64:  # as in the census
+        raise BudgetError(
+            f"{q}^{n} monic polynomials exceed the budget {budget}")
     if q ** n > budget:
         raise BudgetError(
             f"{q}^{n} = {q ** n} monic polynomials exceed the budget {budget}")

@@ -217,7 +217,6 @@ def _cmd_verify(args):
     params = {"field": _field_params(field), "n": n, "mode": args.mode,
               "seed": args.seed, "budget": args.budget, "threads": threads}
     q = field.q
-    expected_total = q ** (n * n)
     mismatches = []
     census = None
     partition = None
@@ -227,6 +226,8 @@ def _cmd_verify(args):
     if args.mode in ("formula", "both"):
         partition = verify_partition(field, n, budget=args.budget,
                                      seed=args.seed)
+    # computed only once a budget check has bounded it
+    expected_total = q ** (n * n)
     if args.mode == "formula":
         ok = partition.equal
         total = partition.lhs_total
@@ -283,12 +284,19 @@ def _verify_csv(mode, census, partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_rcf(args):
+def _matrix_input(args):
+    """(M, params) for a matrix command: M parsed from --matrix over the
+    field of --q and --k, and the params every such command echoes."""
     field = _resolve_field(args)
     M = parse_matrix(args.matrix, field)
-    form = rcf(M)
     params = {"field": _field_params(field), "n": M.n,
               "matrix": format_matrix(M), "seed": args.seed}
+    return M, params
+
+
+def _cmd_rcf(args):
+    M, params = _matrix_input(args)
+    form = rcf(M)
     result = {
         "blocks": [format_poly(b) for b in form.blocks],
         "transition": format_matrix(form.transition),
@@ -298,16 +306,13 @@ def _cmd_rcf(args):
 
 
 def _cmd_centralizer(args):
-    field = _resolve_field(args)
-    M = parse_matrix(args.matrix, field)
+    M, params = _matrix_input(args)
+    params["budget"] = args.budget
     desc = centralizer(M)
     try:
         units = _unit_count(M, desc, args.budget)
     except BudgetError:
         units = None
-    params = {"field": _field_params(field), "n": M.n,
-              "matrix": format_matrix(M), "seed": args.seed,
-              "budget": args.budget}
     result = {
         "dimension": desc.dimension,
         "order": _decimal(desc.order),
@@ -332,11 +337,8 @@ def _cmd_factor(args):
 
 
 def _cmd_orbit(args):
-    field = _resolve_field(args)
-    M = parse_matrix(args.matrix, field)
+    M, params = _matrix_input(args)
     report = orbit_stabilizer_report(M)
-    params = {"field": _field_params(field), "n": M.n,
-              "matrix": format_matrix(M), "seed": args.seed}
     result = {
         "charpoly": format_poly(report.charpoly),
         "gl_order": _decimal(report.gl_order),

@@ -115,7 +115,7 @@ def _edf_split(u: Polynomial, d: int, rng: random.Random) -> Polynomial:
     if field.p == 2:
         steps = field.k * d - 1
         while True:
-            r = Polynomial(field, [rng.randrange(q) for _ in range(D)])
+            r = Polynomial._raw(field, [rng.randrange(q) for _ in range(D)])
             acc = r % u
             cur = acc
             for _ in range(steps):
@@ -128,7 +128,7 @@ def _edf_split(u: Polynomial, d: int, rng: random.Random) -> Polynomial:
         e = (q ** d - 1) // 2
         one = Polynomial.one(field)
         while True:
-            r = Polynomial(field, [rng.randrange(q) for _ in range(D)])
+            r = Polynomial._raw(field, [rng.randrange(q) for _ in range(D)])
             s = pow(r, e, u)
             g = (s - one).gcd(u)
             if 0 < g.degree < D:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError
 
 DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 
@@ -318,44 +318,17 @@ class FieldSpec:
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.q - 1)]
 
-    def frobenius(self, a: int) -> int:
-        """The p-th power map a -> a**p (identity on the prime field)."""
+    def _index(self, c, what: str) -> int:
+        """The int c as an element index: reduced mod p over a prime field,
+        required to lie in [0, q) over an extension.  Anything else is a
+        ValueError that calls c the caller's ``what`` ("entry", ...)."""
+        if not isinstance(c, int):
+            raise ValueError(f"bad {what} {c!r}")
         if self.k == 1:
-            return a
-        return self.pow(a, self.p)
-
-    def coeffs_of(self, a: int) -> tuple:
-        """Coefficient vector (c_0, ..., c_{k-1}) of the element with index a."""
-        if not 0 <= a < self.q:
-            raise ValueError(f"element index {a} out of range [0, {self.q})")
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def index_of(self, coeffs) -> int:
-        """Index of the element with the given coefficient vector (mod p)."""
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.k:
-            raise ValueError(f"expected at most {self.k} coefficients, got {len(cs)}")
-        v = 0
-        for c in reversed(cs):
-            v = v * self.p + c
-        return v
-
-    def parse_element(self, text: str) -> int:
-        """Element text format: the decimal index in [0, q)."""
-        try:
-            v = int(text.strip())
-        except ValueError:
-            raise ParseError(f"not an element literal: {text!r}", 0) from None
-        if not 0 <= v < self.q:
-            raise ParseError(f"element {v} out of range [0, {self.q})", 0)
-        return v
-
-    def format_element(self, a: int) -> str:
-        return str(a)
+            return c % self.p
+        if 0 <= c < self.q:
+            return c
+        raise ValueError(f"{what} index {c} out of range [0, {self.q})")
 
     def __eq__(self, other):
         if self is other:

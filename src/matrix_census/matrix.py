@@ -18,18 +18,6 @@ from .field import FieldSpec
 from .poly import Polynomial
 
 
-def _coerce_index(field, c) -> int:
-    """Entry to its index: ints reduce mod p over a prime field and must be
-    canonical indices over an extension."""
-    if isinstance(c, int):
-        if field.k == 1:
-            return c % field.p
-        if 0 <= c < field.q:
-            return c
-        raise ValueError(f"entry index {c} out of range [0, {field.q})")
-    raise ValueError(f"bad entry {c!r}")
-
-
 class SquareMatrix:
     __slots__ = ("field", "n", "_e")
 
@@ -44,7 +32,7 @@ class SquareMatrix:
             if len(r) != n:
                 raise ValueError(f"expected {n} entries per row, got {len(r)}")
             for c in r:
-                flat.append(_coerce_index(field, c))
+                flat.append(field._index(c, "entry"))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_e", tuple(flat))
@@ -73,7 +61,7 @@ class SquareMatrix:
 
     @classmethod
     def scalar(cls, field, n: int, c) -> "SquareMatrix":
-        c = _coerce_index(field, c)
+        c = field._index(c, "entry")
         flat = [0] * (n * n)
         for i in range(n):
             flat[i * n + i] = c
@@ -81,40 +69,12 @@ class SquareMatrix:
 
     @classmethod
     def diagonal(cls, field, entries) -> "SquareMatrix":
-        entries = [_coerce_index(field, c) for c in entries]
+        entries = [field._index(c, "entry") for c in entries]
         n = len(entries)
         flat = [0] * (n * n)
         for i, c in enumerate(entries):
             flat[i * n + i] = c
         return cls._raw(field, n, flat)
-
-    @classmethod
-    def from_flat(cls, field, n: int, flat) -> "SquareMatrix":
-        flat = list(flat)
-        if len(flat) != n * n:
-            raise ValueError(f"expected {n * n} entries, got {len(flat)}")
-        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-        return cls(field, rows)
-
-    @classmethod
-    def from_index(cls, field, n: int, index: int) -> "SquareMatrix":
-        """Inverse of matrix_index: base-q digits, entry (0,0) least significant."""
-        q = field.q
-        total = q ** (n * n)
-        if not 0 <= index < total:
-            raise ValueError(f"matrix index {index} out of range [0, {total})")
-        flat = []
-        for _ in range(n * n):
-            flat.append(index % q)
-            index //= q
-        return cls._raw(field, n, flat)
-
-    def matrix_index(self) -> int:
-        v = 0
-        q = self.field.q
-        for c in reversed(self._e):
-            v = v * q + c
-        return v
 
     @property
     def flat_indices(self) -> tuple:
@@ -124,10 +84,6 @@ class SquareMatrix:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) out of range")
         return self._e[i * self.n + j]
-
-    def rows_idx(self) -> list:
-        n = self.n
-        return [list(self._e[i * n:(i + 1) * n]) for i in range(n)]
 
     def _check(self, other):
         if not isinstance(other, SquareMatrix):
@@ -176,12 +132,6 @@ class SquareMatrix:
                         if v:
                             out[ro + j] = add(out[ro + j], mul(c, v))
         return SquareMatrix._raw(self.field, n, out)
-
-    def scale(self, c) -> "SquareMatrix":
-        c = _coerce_index(self.field, c)
-        mul = self.field.mul
-        return SquareMatrix._raw(self.field, self.n,
-                                 [mul(a, c) for a in self._e])
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -325,33 +275,25 @@ def _conductor(M, v, wrref, wpivots) -> Polynomial:
     """
     field = M.field
     n = M.n
-    sub, mul, inv = field.sub, field.mul, field.inv
-    rows = []  # (pivot, reduced residual, combination over Krylov powers)
+    mul, inv = field.mul, field.inv
+    # W's rows, then one [residual | combination over Krylov powers] row per
+    # power M^j v that is independent of those before it, normalised at its
+    # pivot; W's shorter rows leave the combination alone
+    rows, pivots = list(wrref), list(wpivots)
     kv = list(v)  # M^j v
-    j = 0
-    while True:
-        cur = _reduce_mod(field, kv, wrref, wpivots)
-        comb = [0] * (j + 1)
+    for j in range(n + 1):
+        comb = [0] * (n + 1)
         comb[j] = 1
-        for pivot, rv, rc in rows:
-            c = cur[pivot]
-            if c:
-                for t in range(n):
-                    if rv[t]:
-                        cur[t] = sub(cur[t], mul(c, rv[t]))
-                for t, x in enumerate(rc):
-                    if x:
-                        comb[t] = sub(comb[t], mul(c, x))
-        pivot = next((t for t, c in enumerate(cur) if c), None)
+        cur = _reduce_mod(field, kv + comb, rows, pivots)
+        pivot = next((t for t in range(n) if cur[t]), None)
         if pivot is None:
-            # sum(comb[t] M^t v) lies in span(W) and comb[j] = 1, so comb
-            # is the monic conductor itself
-            return Polynomial._raw(field, comb)
+            # sum(cur[n + t] M^t v) lies in span(W) and cur[n + j] = 1, so
+            # the combination is the monic conductor itself
+            return Polynomial._raw(field, cur[n:])
         ic = inv(cur[pivot])
-        rows.append((pivot, [mul(c, ic) for c in cur],
-                     [mul(c, ic) for c in comb]))
+        rows.append([mul(c, ic) for c in cur])
+        pivots.append(pivot)
         kv = list(M.apply(kv))
-        j += 1
 
 
 def _basis_conductors(M, wrref, wpivots, cap: int):

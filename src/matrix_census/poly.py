@@ -20,18 +20,7 @@ class Polynomial:
     __slots__ = ("field", "_c")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, int):
-                if field.k == 1:
-                    cs.append(c % field.p)
-                elif 0 <= c < field.q:
-                    cs.append(c)
-                else:
-                    raise ValueError(
-                        f"coefficient index {c} out of range [0, {field.q})")
-            else:
-                raise ValueError(f"bad coefficient {c!r}")
+        cs = [field._index(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "field", field)
@@ -60,12 +49,6 @@ class Polynomial:
     @classmethod
     def x(cls, field) -> "Polynomial":
         return cls._raw(field, [0, 1])
-
-    @classmethod
-    def monomial(cls, field, e: int, c: int = 1) -> "Polynomial":
-        if e < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return cls._raw(field, [0] * e + [c]) if c else cls.zero(field)
 
     @property
     def degree(self):

@@ -1,5 +1,6 @@
 """Shared helpers: seeded generators and a session-wide census cache."""
 
+import itertools
 import random
 
 import pytest
@@ -11,10 +12,19 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+def _from_flat(spec, n, flat):
+    return mc.SquareMatrix(spec, [flat[i * n:(i + 1) * n] for i in range(n)])
+
+
 def rand_matrix(spec, n, rng):
     """Uniform random n x n matrix over the field."""
-    return mc.SquareMatrix.from_flat(
-        spec, n, [rng.randrange(spec.q) for _ in range(n * n)])
+    return _from_flat(spec, n, [rng.randrange(spec.q) for _ in range(n * n)])
+
+
+def all_matrices(spec, n):
+    """Every n x n matrix over the field."""
+    for flat in itertools.product(range(spec.q), repeat=n * n):
+        yield _from_flat(spec, n, flat)
 
 
 def rand_invertible(spec, n, rng):

@@ -8,7 +8,7 @@ import matrix_census as mc
 import matrix_census.cli as cli
 from matrix_census.poly import Polynomial
 
-from conftest import (make_rng, rand_invertible, rand_matrix,
+from conftest import (all_matrices, make_rng, rand_invertible, rand_matrix,
                       rand_irreducible_charpoly_matrix)
 
 
@@ -137,8 +137,7 @@ def test_criterion_6_rcf_properties(capsys):
         # exhaustive: irreducible charpoly means a single companion block
         F2 = mc.make_field(2)
         for n in (2, 3):
-            for idx in range(2 ** (n * n)):
-                M = mc.SquareMatrix.from_index(F2, n, idx)
+            for M in all_matrices(F2, n):
                 g = M.charpoly()
                 if mc.is_irreducible(g):
                     assert mc.rcf(M).blocks == (g,)

@@ -7,18 +7,15 @@ from matrix_census import canonical as canonical_mod
 from matrix_census import matrix as matrix_mod
 from matrix_census.poly import Polynomial
 
-from conftest import make_rng, rand_invertible, rand_matrix, rand_poly
+from conftest import (all_matrices, make_rng, rand_invertible, rand_matrix,
+                      rand_poly)
 
 
 F2 = mc.make_field(2)
 F3 = mc.make_field(3)
 F4 = mc.make_field(2, 2)
 F9 = mc.make_field(3, 2)
-
-
-def M_(field, rows):
-    flat = [c for row in rows for c in row]
-    return mc.SquareMatrix.from_flat(field, len(rows), flat)
+M_ = mc.SquareMatrix
 
 
 def _product(field, polys):
@@ -180,8 +177,7 @@ def test_rcf_exhaustive_small():
     # maximal vectors are sums over two basis vectors, e.g. for diag(0,1)
     # over GF(2), where e_0 has order x and e_1 order x+1
     for field, n in ((F2, 2), (F3, 2), (F4, 2), (F2, 3)):
-        for idx in range(field.q ** (n * n)):
-            A = mc.SquareMatrix.from_index(field, n, idx)
+        for A in all_matrices(field, n):
             form = mc.rcf(A)
             D = mc.companion_block_diagonal(field, form.blocks)
             assert form.transition.det() != 0

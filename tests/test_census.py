@@ -12,6 +12,7 @@ import pytest
 import matrix_census as mc
 from matrix_census.errors import BudgetError
 from matrix_census.poly import Polynomial
+from conftest import all_matrices
 from test_acceptance import GRID
 
 
@@ -51,10 +52,7 @@ def test_gl_order_values():
 
 def test_gl_order_matches_enumeration():
     for field, n in ((F2, 2), (F3, 2), (F2, 3)):
-        count = 0
-        for idx in range(field.q ** (n * n)):
-            if mc.SquareMatrix.from_index(field, n, idx).det() != 0:
-                count += 1
+        count = sum(M.det() != 0 for M in all_matrices(field, n))
         assert count == mc.gl_order(field.q, n)
 
 
@@ -149,8 +147,8 @@ def test_census_matches_direct_charpoly_loop():
     for field, n in ((F2, 2), (F3, 2), (F2, 3), (F4, 2), (F9, 2),
                      (F2053, 1)):
         direct = {}
-        for idx in range(field.q ** (n * n)):
-            g = mc.SquareMatrix.from_index(field, n, idx).charpoly()
+        for M in all_matrices(field, n):
+            g = M.charpoly()
             direct[g] = direct.get(g, 0) + 1
         rep = mc.census_bruteforce(field, n)
         assert rep.entries == direct
@@ -335,8 +333,7 @@ def test_orbit_size_matches_explicit_conjugation_orbit():
     # walk the actual conjugation orbit over all of GL for a small case
     M = mc.companion(mc.parse_poly("x^2+1", F3))
     seen = set()
-    for idx in range(81):
-        P = mc.SquareMatrix.from_index(F3, 2, idx)
+    for P in all_matrices(F3, 2):
         if P.det() != 0:
             seen.add(P.invert() * M * P)
     rep = mc.orbit_stabilizer_report(M)
@@ -355,12 +352,7 @@ def test_report_dataclasses_are_frozen():
 
 
 def _slow_count(field, g):
-    n = g.degree
-    count = 0
-    for idx in range(field.q ** (n * n)):
-        if mc.SquareMatrix.from_index(field, n, idx).charpoly() == g:
-            count += 1
-    return count
+    return sum(M.charpoly() == g for M in all_matrices(field, g.degree))
 
 
 def test_count_with_charpoly_reducible_cross_check():

@@ -9,28 +9,18 @@ import matrix_census as mc
 from matrix_census.errors import BudgetError
 from matrix_census.matrix import row_echelon
 
-from conftest import make_rng, rand_matrix
+from conftest import all_matrices, make_rng, rand_matrix
 
 
 F2 = mc.make_field(2)
 F3 = mc.make_field(3)
 F4 = mc.make_field(2, 2)
-
-
-def M_(field, rows):
-    flat = [c for row in rows for c in row]
-    return mc.SquareMatrix.from_flat(field, len(rows), flat)
+M_ = mc.SquareMatrix
 
 
 def _enumerate_commuting(M):
     """All matrices commuting with M, by scanning the whole matrix space."""
-    field, n = M.field, M.n
-    commuting = []
-    for idx in range(field.q ** (n * n)):
-        X = mc.SquareMatrix.from_index(field, n, idx)
-        if X * M == M * X:
-            commuting.append(X)
-    return commuting
+    return [X for X in all_matrices(M.field, M.n) if X * M == M * X]
 
 
 def test_centralizer_against_full_enumeration():
@@ -125,8 +115,7 @@ def test_is_polynomial_centralizer_against_enumeration():
     # oracle: the commuting matrices found by scanning the whole space,
     # against {f(M) : deg f < n}
     rng = make_rng(97)
-    cases = [mc.SquareMatrix.from_index(field, 2, idx)
-             for field in (F2, F3) for idx in range(field.q ** 4)]
+    cases = [M for field in (F2, F3) for M in all_matrices(field, 2)]
     cases += [rand_matrix(F2, 3, rng) for _ in range(12)]
     cases += [mc.SquareMatrix.identity(F2, 3),
               mc.SquareMatrix.diagonal(F2, [0, 0, 1])]
@@ -177,8 +166,7 @@ def test_invariant_subspaces_empty_iff_charpoly_irreducible():
         assert mc.invariant_subspaces(C) == []
     # exhaustive equivalence over all 2x2 matrices
     for field in (F2, F3):
-        for idx in range(field.q ** 4):
-            M = mc.SquareMatrix.from_index(field, 2, idx)
+        for M in all_matrices(field, 2):
             empty = not mc.invariant_subspaces(M)
             assert empty == mc.is_irreducible(M.charpoly())
 
@@ -259,7 +247,7 @@ def test_centralizer_span_is_field_when_charpoly_irreducible():
                                         repeat=desc.dimension):
             X = mc.SquareMatrix.zero(field, n)
             for c, B in zip(coeffs, desc.basis):
-                X = X + B.scale(c)
+                X = X + mc.SquareMatrix.scalar(field, n, c) * B
             if any(coeffs):
                 assert X.det() != 0
         assert mc.centralizer_unit_count(M) == desc.order - 1

@@ -3,6 +3,8 @@ and byte-level determinism."""
 
 import json
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -114,12 +116,20 @@ def test_verify_bruteforce_mode(capsys):
 
 
 def test_verify_budget_exceeded(capsys):
-    code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "9",
-                             "--mode", "bruteforce")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error:budget:")
-    assert err.count("\n") == 1
+    # from --n 119, 2^(n*n) has more than the 4300 digits Python prints, and
+    # at --n 40000 it takes hundreds of MB: refused without computing it
+    for argv in (("--n", "9", "--mode", "bruteforce"),
+                 ("--n", "119", "--mode", "bruteforce"),
+                 ("--n", "120"),
+                 ("--n", "40000", "--mode", "formula")):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--q", "2", *argv,
+                                 "--threads", "1")
+        assert time.perf_counter() - started < 1, argv
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("error:budget:")
+        assert err.count("\n") == 1 and len(err) < 200, argv
 
 
 def _corrupt_formula(monkeypatch):
@@ -435,3 +445,18 @@ def test_huge_q_is_refused_before_any_primality_test(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "count", "--q", str(2 ** 40 * 3), "--n",
                            "2")
     assert code == 3 and err.startswith("error:budget:")
+
+
+# stdout, stderr and exit code of each invocation, with --repro, recorded
+# from the implementation before a refactor that must not change them: the
+# README examples of all six commands over GF(2), GF(3), GF(9) and GF(256),
+# and one usage, one domain and one budget error.  verify passes --threads 1,
+# as params.threads otherwise echoes the machine's CPU count.
+ENVELOPES = [json.loads(line) for line in (
+    Path(__file__).with_name("envelopes.jsonl").read_text().splitlines())]
+
+
+@pytest.mark.parametrize("argv,code,out,err", ENVELOPES,
+                         ids=[case[0] for case in ENVELOPES])
+def test_repro_output_is_pinned(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv.split(), "--repro") == (code, out, err)

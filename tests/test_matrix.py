@@ -9,19 +9,15 @@ from matrix_census.errors import SingularMatrixError
 from matrix_census.matrix import nullspace, row_echelon
 from matrix_census.poly import Polynomial
 
-from conftest import make_rng, rand_invertible, rand_matrix, rand_poly
+from conftest import (all_matrices, make_rng, rand_invertible, rand_matrix,
+                      rand_poly)
 
 
 F2 = mc.make_field(2)
 F3 = mc.make_field(3)
 F4 = mc.make_field(2, 2)
 F9 = mc.make_field(3, 2)
-
-
-def M_(field, rows):
-    flat = [c for row in rows for c in row]
-    n = len(rows)
-    return mc.SquareMatrix.from_flat(field, n, flat)
+M_ = mc.SquareMatrix
 
 
 def _poly_det(field, rows):
@@ -67,30 +63,14 @@ def test_constructors_and_entry_access():
     assert D.flat_indices == (1, 0, 0, 2)
     A = M_(F3, [[0, 1], [2, 0]])
     assert A.entry_index(0, 1) == 1 and A.entry_index(1, 0) == 2
-    assert A.rows_idx() == [[0, 1], [2, 0]]
-
-
-def test_matrix_index_round_trip():
-    # index 15 over GF(2) in 2x2 is the all-ones matrix, entry (0,0) least
-    # significant
-    A = mc.SquareMatrix.from_index(F2, 2, 15)
-    assert A.flat_indices == (1, 1, 1, 1)
-    B = mc.SquareMatrix.from_index(F2, 2, 1)
-    assert B.flat_indices == (1, 0, 0, 0)
-    for idx in range(16):
-        assert mc.SquareMatrix.from_index(F2, 2, idx).matrix_index() == idx
-    rng = make_rng(3)
-    for field, n in ((F3, 3), (F9, 2)):
-        for _ in range(20):
-            A = rand_matrix(field, n, rng)
-            back = mc.SquareMatrix.from_index(field, n, A.matrix_index())
-            assert back == A
+    assert A.flat_indices == (0, 1, 2, 0)
 
 
 def test_ring_axioms_random():
     rng = make_rng(5)
     for field, n in ((F2, 3), (F3, 2), (F9, 2), (F4, 3)):
         I = mc.SquareMatrix.identity(field, n)
+        two = mc.SquareMatrix.scalar(field, n, field.add(1, 1))
         for _ in range(25):
             A = rand_matrix(field, n, rng)
             B = rand_matrix(field, n, rng)
@@ -102,7 +82,7 @@ def test_ring_axioms_random():
             assert (B + C) * A == B * A + C * A
             assert A - A == mc.SquareMatrix.zero(field, n)
             assert A * I == A and I * A == A
-            assert A.scale(field.add(1, 1)) == A + A
+            assert two * A == A + A
 
 
 def test_known_products_and_inverse():
@@ -132,9 +112,7 @@ def test_apply_matches_manual_sum():
 
 def test_charpoly_exhaustive_2x2_against_cofactors():
     for field in (F2, F3):
-        q = field.q
-        for idx in range(q ** 4):
-            A = mc.SquareMatrix.from_index(field, 2, idx)
+        for A in all_matrices(field, 2):
             assert A.charpoly() == _charpoly_by_cofactors(A)
 
 
@@ -218,8 +196,9 @@ def test_rank_kernel_and_nullspace():
     for field, n in ((F2, 3), (F3, 3), (F4, 2), (F2, 5)):
         for _ in range(15):
             A = rand_matrix(field, n, rng)
-            rank = len(row_echelon(field, A.rows_idx())[1])
-            kernel = nullspace(field, A.rows_idx(), n)
+            rows = [A.flat_indices[i * n:(i + 1) * n] for i in range(n)]
+            rank = len(row_echelon(field, rows)[1])
+            kernel = nullspace(field, rows, n)
             assert rank + len(kernel) == n
             assert (rank == n) == (A.det() != 0)
             for v in kernel:

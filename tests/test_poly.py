@@ -45,8 +45,6 @@ def test_classmethod_constructors():
     assert Polynomial.zero(F3).is_zero
     assert Polynomial.one(F3).coeff_indices == (1,)
     assert Polynomial.x(F3).coeff_indices == (0, 1)
-    assert Polynomial.monomial(F3, 3, 2).coeff_indices == (0, 0, 0, 2)
-    assert Polynomial.monomial(F3, 2).degree == 2
 
 
 def test_degree_and_monic_flags():
