@@ -3,11 +3,11 @@
 Two independent routes to every count: closed-form products (gl_order,
 count_irreducible_case, count_with_charpoly) and a brute-force census that
 enumerates every matrix and tallies characteristic polynomials.  The census
-walks leading blocks, one new row and column at a time, through the Berkowitz
-step that ``SquareMatrix.charpoly`` uses; tests check that step against
-cofactor expansion.  It shares no code with the closed forms, which come from
-factorization shapes, so agreement between the two routes is a genuine
-cross-check.
+walks leading blocks, one new column and row at a time, through the Krylov
+vectors (once per column) and Berkowitz step (once per row) of
+``SquareMatrix.charpoly``; tests check it against cofactor expansion.  It
+shares no code with the closed forms, which come from factorization shapes,
+so agreement between the two routes is a genuine cross-check.
 
 All counts are exact integers.  ``f_product``, the q-Pochhammer-style partial
 product, is an exact Fraction kept for the rational form of the counts; the
@@ -25,7 +25,7 @@ from .centralizer import centralizer_unit_count
 from .errors import BudgetError
 from .factor import factorize, is_irreducible
 from .field import FieldSpec
-from .matrix import SquareMatrix, _berkowitz_step
+from .matrix import SquareMatrix, _berkowitz_step, _krylov
 from .poly import Polynomial, monic_polys
 
 DEFAULT_ENUMERATION_BUDGET = 2 ** 26
@@ -132,7 +132,8 @@ def _count_from_factors(q: int, n: int, factors) -> int:
 
 def _census_tally(field: FieldSpec, n: int) -> dict:
     """Tally charpoly coefficient tuples (descending) over every n x n
-    matrix, extending leading blocks one row and column at a time."""
+    matrix, extending leading blocks one column and row at a time; the
+    Krylov vectors A^k*C of a new column C serve all q^(i+1) rows under it."""
     add, mul, neg = field.add, field.mul, field.neg
     a = [0] * (n * n)
     values = range(field.q)
@@ -144,9 +145,10 @@ def _census_tally(field: FieldSpec, n: int) -> dict:
         col = slice(i, i * n, n)  # column i, rows 0..i-1
         for above in itertools.product(values, repeat=i):
             a[col] = above
+            ks = _krylov(add, mul, a, n, i)
             for left in itertools.product(values, repeat=i + 1):
                 a[row] = left
-                block = _berkowitz_step(add, mul, neg, a, n, i, p)
+                block = _berkowitz_step(add, mul, neg, a, n, i, p, ks)
                 if last:
                     key = tuple(block)
                     tally[key] = tally.get(key, 0) + 1

@@ -212,36 +212,44 @@ def _berkowitz(field: FieldSpec, flat, n: int) -> list:
     add, mul, neg = field.add, field.mul, field.neg
     p = [1]
     for i in range(n):
-        p = _berkowitz_step(add, mul, neg, flat, n, i, p)
+        ks = _krylov(add, mul, flat, n, i)
+        p = _berkowitz_step(add, mul, neg, flat, n, i, p, ks)
     return p
 
 
-def _berkowitz_step(add, mul, neg, flat, n: int, i: int, p: list) -> list:
+def _krylov(add, mul, flat, n: int, i: int) -> list:
+    """[C, A*C, ..., A^(i-1)*C] for A the leading i x i block of the
+    row-major n x n ``flat`` and C its column i, rows 0..i-1; [] at i = 0."""
+    ks = [[flat[t * n + i] for t in range(i)]] if i else []
+    for _ in range(i - 1):
+        w, nw = ks[-1], []
+        for u in range(i):
+            uo = u * n
+            s = 0
+            for t in range(i):
+                wt = w[t]
+                if wt:
+                    s = add(s, mul(flat[uo + t], wt))
+            nw.append(s)
+        ks.append(nw)
+    return ks
+
+
+def _berkowitz_step(add, mul, neg, flat, n: int, i: int, p: list,
+                    ks: list) -> list:
     """One step of the Berkowitz recurrence on the row-major n x n ``flat``:
     the descending charpoly of its leading (i+1) x (i+1) block, from ``p``,
-    that of the leading i x i block.  Reads only entries of the larger block.
-    """
-    col = [1, neg(flat[i * n + i])]
-    w = [flat[t * n + i] for t in range(i)]
+    that of the leading i x i block, and ``ks``, _krylov at the same i.
+    Reads only row i, columns 0..i, so blocks differing there share ``ks``."""
     ro = i * n
-    for j in range(i):
+    col = [1, neg(flat[ro + i])]
+    for w in ks:
         s = 0
         for t in range(i):
             wt = w[t]
             if wt:
                 s = add(s, mul(flat[ro + t], wt))
         col.append(neg(s))
-        if j < i - 1:
-            nw = []
-            for u in range(i):
-                uo = u * n
-                s2 = 0
-                for t in range(i):
-                    wt = w[t]
-                    if wt:
-                        s2 = add(s2, mul(flat[uo + t], wt))
-                nw.append(s2)
-            w = nw
     # the first i + 2 coefficients of the convolution of col with p, which
     # has i + 1; term t = 0 is col[s] * p[0] = col[s], as p is monic
     np_ = [1]

@@ -55,6 +55,40 @@ def brute_irreducible(f):
     return True
 
 
+def poly_det(field, rows):
+    """Cofactor expansion along the first row, entries are polynomials."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = mc.Polynomial.zero(field)
+    for j in range(n):
+        minor = [[rows[i][jj] for jj in range(n) if jj != j]
+                 for i in range(1, n)]
+        term = rows[0][j] * poly_det(field, minor)
+        if j % 2:
+            total = total - term
+        else:
+            total = total + term
+    return total
+
+
+def charpoly_by_cofactors(M):
+    """det(x*I - M) by cofactor expansion in the polynomial ring: the
+    reference for the package's Berkowitz charpoly, sharing none of it."""
+    field, n = M.field, M.n
+    x = mc.Polynomial.x(field)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cell = mc.Polynomial(field, [field.neg(M.entry_index(i, j))])
+            if i == j:
+                cell = cell + x
+            row.append(cell)
+        rows.append(row)
+    return poly_det(field, rows)
+
+
 def rand_irreducible_charpoly_matrix(spec, n, rng):
     """Rejection-sampled matrix whose charpoly is irreducible."""
     while True:

@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 import matrix_census as mc
+from matrix_census import census as census_mod
 from matrix_census.errors import BudgetError
 from matrix_census.poly import Polynomial
-from conftest import all_matrices
+from conftest import all_matrices, charpoly_by_cofactors
 from test_acceptance import GRID
 
 
@@ -139,7 +140,8 @@ def test_census_entries_ordered_canonically():
 
 
 def test_census_matches_direct_charpoly_loop():
-    # independent route: object-level charpoly per matrix.  GF(4) adds by
+    # independent route: det(x*I - M) by cofactor expansion per matrix,
+    # which shares no code with the census's Berkowitz walk.  GF(4) adds by
     # XOR, GF(9) by Zech logarithms, and GF(2053) is a prime field of more
     # than 1024 elements
     F9 = mc.make_field(3, 2)
@@ -148,10 +150,36 @@ def test_census_matches_direct_charpoly_loop():
                      (F2053, 1)):
         direct = {}
         for M in all_matrices(field, n):
-            g = M.charpoly()
+            g = charpoly_by_cofactors(M)
             direct[g] = direct.get(g, 0) + 1
         rep = mc.census_bruteforce(field, n)
         assert rep.entries == direct
+
+
+def test_census_shares_krylov_vectors_per_column(monkeypatch):
+    # the Krylov vectors depend only on the leading i x i block and the new
+    # column above row i, so the walk computes them at most
+    # sum_{i<n} q^(i^2+i) times, while each of the sum_{i<n} q^((i+1)^2)
+    # leading blocks still takes its own step
+    krylov_calls = steps = 0
+    real_krylov, real_step = census_mod._krylov, census_mod._berkowitz_step
+
+    def krylov(*args):
+        nonlocal krylov_calls
+        krylov_calls += 1
+        return real_krylov(*args)
+
+    def step(*args):
+        nonlocal steps
+        steps += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(census_mod, "_krylov", krylov)
+    monkeypatch.setattr(census_mod, "_berkowitz_step", step)
+    rep = mc.census_bruteforce(F2, 4)
+    assert rep.total == 2 ** 16
+    assert krylov_calls <= sum(2 ** (i * i + i) for i in range(4)) == 4165
+    assert steps == sum(2 ** ((i + 1) ** 2) for i in range(4)) == 66066
 
 
 def test_census_threads_agree():
@@ -305,9 +333,11 @@ def test_verify_partition_budget():
         mc.verify_partition(F2, 40)
 
 
-def test_partition_matches_census_per_polynomial():
-    for field, n in ((F2, 2), (F3, 2), (F2, 3)):
-        census = mc.census_bruteforce(field, n)
+def test_partition_matches_census_per_polynomial(census_cache):
+    # (GF(2), 4) shares Krylov vectors three columns deep, and (GF(4), 3)
+    # shares them under XOR table arithmetic
+    for field, n in ((F2, 2), (F3, 2), (F2, 3), (F2, 4), (F4, 3)):
+        census = census_cache(field.q, n)
         partition = mc.verify_partition(field, n)
         assert census.entries == partition.entries
 

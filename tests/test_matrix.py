@@ -6,11 +6,12 @@ import pytest
 
 import matrix_census as mc
 from matrix_census.errors import SingularMatrixError
-from matrix_census.matrix import nullspace, row_echelon
+from matrix_census.matrix import (_berkowitz_step, _krylov, nullspace,
+                                  row_echelon)
 from matrix_census.poly import Polynomial
 
-from conftest import (all_matrices, make_rng, rand_invertible, rand_matrix,
-                      rand_poly)
+from conftest import (all_matrices, charpoly_by_cofactors, make_rng,
+                      poly_det, rand_invertible, rand_matrix, rand_poly)
 
 
 F2 = mc.make_field(2)
@@ -18,38 +19,6 @@ F3 = mc.make_field(3)
 F4 = mc.make_field(2, 2)
 F9 = mc.make_field(3, 2)
 M_ = mc.SquareMatrix
-
-
-def _poly_det(field, rows):
-    """Cofactor expansion along the first row, entries are polynomials."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Polynomial.zero(field)
-    for j in range(n):
-        minor = [[rows[i][jj] for jj in range(n) if jj != j]
-                 for i in range(1, n)]
-        term = rows[0][j] * _poly_det(field, minor)
-        if j % 2:
-            total = total - term
-        else:
-            total = total + term
-    return total
-
-
-def _charpoly_by_cofactors(M):
-    field, n = M.field, M.n
-    x = Polynomial.x(field)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = Polynomial(field, [field.neg(M.entry_index(i, j))])
-            if i == j:
-                cell = cell + x
-            row.append(cell)
-        rows.append(row)
-    return _poly_det(field, rows)
 
 
 def test_constructors_and_entry_access():
@@ -113,7 +82,7 @@ def test_apply_matches_manual_sum():
 def test_charpoly_exhaustive_2x2_against_cofactors():
     for field in (F2, F3):
         for A in all_matrices(field, 2):
-            assert A.charpoly() == _charpoly_by_cofactors(A)
+            assert A.charpoly() == charpoly_by_cofactors(A)
 
 
 def test_charpoly_random_against_cofactors():
@@ -123,7 +92,37 @@ def test_charpoly_random_against_cofactors():
             A = rand_matrix(field, n, rng)
             f = A.charpoly()
             assert f.is_monic and f.degree == n
-            assert f == _charpoly_by_cofactors(A)
+            assert f == charpoly_by_cofactors(A)
+
+
+def test_krylov_matches_plain_matrix_powers():
+    # _krylov(.., i) is [A^k * C for k < i] for A the leading i x i block
+    # and C rows 0..i-1 of column i; rebuilt here with plain field-op loops.
+    # n = i + 2 leaves a row and column outside the block, which it must
+    # not read
+    rng = make_rng(31)
+    for field in (F2, F9, mc.make_field(101)):
+        add, mul, neg = field.add, field.mul, field.neg
+        for i in range(6):
+            n = i + 2
+            for _ in range(8):
+                flat = [rng.randrange(field.q) for _ in range(n * n)]
+                want, v = [], [flat[t * n + i] for t in range(i)]
+                for _ in range(i):
+                    want.append(v)
+                    nv = []
+                    for u in range(i):
+                        s = 0
+                        for t in range(i):
+                            s = add(s, mul(flat[u * n + t], v[t]))
+                        nv.append(s)
+                    v = nv
+                assert _krylov(add, mul, flat, n, i) == want
+        # nothing at i = 0, so the first step's column is [1, -a00]
+        flat = [rng.randrange(1, field.q)]
+        assert _krylov(add, mul, flat, 1, 0) == []
+        assert _berkowitz_step(add, mul, neg, flat, 1, 0, [1], []) == \
+            [1, neg(flat[0])]
 
 
 def test_charpoly_1x1_and_companion():
@@ -182,7 +181,7 @@ def test_det_multiplicative_and_matches_cofactors():
             assert field.mul(A.det(), B.det()) == (A * B).det()
             rows = [[Polynomial(field, [A.entry_index(i, j)])
                      for j in range(n)] for i in range(n)]
-            expect = _poly_det(field, rows)
+            expect = poly_det(field, rows)
             if expect.is_zero:
                 assert A.det() == 0
             else:
