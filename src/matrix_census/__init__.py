@@ -8,8 +8,8 @@ from .canonical import (RationalCanonicalForm, are_similar, companion,
                         companion_block_diagonal, rcf, vector_order)
 from .census import (CensusReport, DEFAULT_ENUMERATION_BUDGET,
                      OrbitStabilizerReport, PartitionReport, census_bruteforce,
-                     count_irreducible_case, count_with_charpoly, f_product,
-                     gl_order, orbit_stabilizer_report, verify_partition)
+                     count_irreducible_case, count_with_charpoly, gl_order,
+                     orbit_stabilizer_report, verify_partition)
 from .centralizer import (CentralizerDescription, DEFAULT_SPAN_BUDGET,
                           centralizer, centralizer_unit_count,
                           gaussian_binomial, invariant_subspaces,
@@ -52,7 +52,6 @@ __all__ = [
     "count_monic_irreducibles",
     "count_with_charpoly",
     "evaluate_poly",
-    "f_product",
     "factorize",
     "field_from_order",
     "format_matrix",

@@ -9,9 +9,7 @@ vectors (once per column) and Berkowitz step (once per row) of
 shares no code with the closed forms, which come from factorization shapes,
 so agreement between the two routes is a genuine cross-check.
 
-All counts are exact integers.  ``f_product``, the q-Pochhammer-style partial
-product, is an exact Fraction kept for the rational form of the counts; the
-counts themselves never compute it.
+All counts are exact integers and are computed with integers only.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .centralizer import centralizer_unit_count
 from .errors import BudgetError
@@ -59,19 +56,6 @@ class OrbitStabilizerReport:
     orbit_size: int
     formula_count: int
     consistent: bool
-
-
-@functools.lru_cache(maxsize=None)
-def f_product(u: int, v: int) -> Fraction:
-    """Partial product prod_{i=1}^{v} (1 - u^(-i)), exact."""
-    if not isinstance(u, int) or u < 2:
-        raise ValueError("base must be an integer >= 2")
-    if not isinstance(v, int) or v < 0:
-        raise ValueError("length must be a nonnegative integer")
-    out = Fraction(1)
-    for i in range(1, v + 1):
-        out *= 1 - Fraction(1, u ** i)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

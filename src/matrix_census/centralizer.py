@@ -2,20 +2,23 @@
 
 The centralizer is computed as the kernel of the commutator map, an n^2 by
 n^2 linear system; the basis comes out of the deterministic elimination in
-echelon form.  Unit counting has a closed-form fast path when the
-characteristic polynomial is irreducible (the centralizer is then a field
-with q^n - 1 units) and an exhaustive span walk otherwise, guarded by a
-budget.
+echelon form.  Units are counted by closed forms without that system: q^n - 1
+when the characteristic polynomial is irreducible (the centralizer is then a
+field), and otherwise a product over the elementary divisors of the rational
+canonical form.  The unit-count budget caps the reported |C(M)| and bounds
+no work.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
+from .canonical import rcf
 from .errors import BudgetError
-from .factor import is_irreducible
-from .matrix import SquareMatrix, _reduce_mod, nullspace, row_echelon
+from .factor import factorize, is_irreducible
+from .matrix import SquareMatrix, _reduce_mod, nullspace
 
 DEFAULT_SPAN_BUDGET = 2 ** 20
 
@@ -51,62 +54,45 @@ def centralizer(M: SquareMatrix) -> CentralizerDescription:
     return CentralizerDescription(mats, d, field.q ** d)
 
 
-def _rank_of_flat(field, flat, n) -> int:
-    rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-    _, pivots = row_echelon(field, rows)
-    return len(pivots)
-
-
 def centralizer_unit_count(M: SquareMatrix, *,
-                           budget: int = DEFAULT_SPAN_BUDGET,
-                           force_enumeration: bool = False) -> int:
+                           budget: int = DEFAULT_SPAN_BUDGET) -> int:
     """Number of invertible elements of C(M).
 
-    q^n - 1 when charpoly(M) is irreducible; otherwise every element of the
-    span of the centralizer basis is enumerated and tested for full rank.
+    q^n - 1 when charpoly(M) is irreducible, as C(M) is then a field.
+    Otherwise C(M) splits over the monic irreducibles f dividing the
+    charpoly.  With Q = q^deg f, the exponents of M's elementary divisors
+    f^e forming the partition lambda, S = sum of min(a, b) over pairs of
+    parts and m_i the number of parts equal to i, the units at f number
+    Q^(S - sum_i m_i(m_i+1)/2) * prod_i prod_{j<=m_i} (Q^j - 1) (Green,
+    Trans. AMS 80, 1955; Macdonald, *Symmetric Functions and Hall
+    Polynomials*, ch. IV), and dim C(M) = sum_f deg f * S (Frobenius).
+    The count is refused when |C(M)| = q^dim exceeds the budget.
     """
-    return _unit_count(M, None, budget, force_enumeration)
-
-
-def _unit_count(M, desc, budget, force_enumeration=False) -> int:
-    """centralizer_unit_count, with desc = centralizer(M) if already solved
-    (None to solve it only when the span walk needs it)."""
-    field = M.field
-    q = field.q
-    n = M.n
-    if not force_enumeration and is_irreducible(M.charpoly()):
-        return q ** n - 1
-    if desc is None:
-        desc = centralizer(M)
-    d = desc.dimension
+    q = M.field.q
+    chi = M.charpoly()
+    if is_irreducible(chi):
+        return q ** M.n - 1
+    parts = {f: [] for f, _ in factorize(chi).factors}
+    for block in rcf(M).blocks:  # each block is f^e for one f
+        f = next(f for f in parts if (block % f).is_zero)
+        parts[f].append(block.degree // f.degree)
+    d = 0
+    units = 1
+    for f, lam in parts.items():
+        Q = q ** f.degree
+        s = sum(min(a, b) for a in lam for b in lam)
+        d += f.degree * s
+        mults = Counter(lam).values()
+        units *= Q ** (s - sum(m * (m + 1) // 2 for m in mults))
+        for m in mults:
+            for j in range(1, m + 1):
+                units *= Q ** j - 1
     total = q ** d
     if total > budget:
         raise BudgetError(
             f"centralizer span of size {q}^{d} = {total} exceeds the "
             f"budget {budget}")
-    bases = [b.flat_indices for b in desc.basis]
-    add = field.add
-    n2 = n * n
-    cur = [0] * n2
-    digits = [0] * d
-    count = 0
-    for step in range(total):
-        if step:
-            j = 0
-            while True:
-                digits[j] += 1
-                bj = bases[j]
-                for t in range(n2):
-                    if bj[t]:
-                        cur[t] = add(cur[t], bj[t])
-                if digits[j] == q:
-                    digits[j] = 0
-                    j += 1
-                else:
-                    break
-        if _rank_of_flat(field, cur, n) == n:
-            count += 1
-    return count
+    return units
 
 
 def is_polynomial_centralizer(M: SquareMatrix) -> bool:

@@ -23,7 +23,7 @@ import time
 
 from .canonical import rcf
 from .centralizer import (DEFAULT_SPAN_BUDGET, _is_polynomial_centralizer,
-                          _unit_count, centralizer)
+                          centralizer, centralizer_unit_count)
 from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
                      census_bruteforce, count_irreducible_case,
                      orbit_stabilizer_report, verify_partition)
@@ -33,8 +33,6 @@ from .field import (DEFAULT_FIELD_ORDER_BUDGET, _prime_power, is_prime,
                     make_field)
 from .matrix import format_matrix, parse_matrix
 from .poly import Polynomial, format_poly, parse_poly
-
-ENV_THREADS = "MATRIX_CENSUS_THREADS"
 
 
 class _UsageError(Exception):
@@ -89,9 +87,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
                    help="enumeration budget")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"recorded in params.threads (default {ENV_THREADS} "
-                        "or machine parallelism); the census runs in one "
-                        "thread")
+                   help="recorded in params.threads (default the machine's "
+                        "parallelism); the census runs in one thread")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv prints the count table instead of the envelope")
 
@@ -101,7 +98,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("centralizer", help="centralizer of a matrix")
     common(p, matrix=True)
     p.add_argument("--budget", type=int, default=DEFAULT_SPAN_BUDGET,
-                   help="span-enumeration budget for unit counting")
+                   help="largest centralizer order whose unit count is "
+                        "reported")
 
     p = sub.add_parser("factor", help="factor a polynomial")
     common(p, poly="required")
@@ -161,15 +159,6 @@ def _threads(args):
         if args.threads < 1:
             raise _UsageError("--threads must be a positive integer")
         return args.threads
-    env = os.environ.get(ENV_THREADS)
-    if env is not None:
-        try:
-            v = int(env)
-        except ValueError:
-            raise _UsageError(f"{ENV_THREADS} must be an integer") from None
-        if v < 1:
-            raise _UsageError(f"{ENV_THREADS} must be a positive integer")
-        return v
     return os.cpu_count() or 1
 
 
@@ -310,7 +299,7 @@ def _cmd_centralizer(args):
     params["budget"] = args.budget
     desc = centralizer(M)
     try:
-        units = _unit_count(M, desc, args.budget)
+        units = centralizer_unit_count(M, budget=args.budget)
     except BudgetError:
         units = None
     result = {

@@ -9,18 +9,39 @@ import matrix_census as mc
 from matrix_census.errors import BudgetError
 from matrix_census.matrix import row_echelon
 
-from conftest import all_matrices, make_rng, rand_matrix
+from conftest import all_matrices, make_rng, rand_invertible, rand_matrix
 
 
 F2 = mc.make_field(2)
 F3 = mc.make_field(3)
 F4 = mc.make_field(2, 2)
+F8 = mc.make_field(2, 3)
+F9 = mc.make_field(3, 2)
 M_ = mc.SquareMatrix
 
 
 def _enumerate_commuting(M):
     """All matrices commuting with M, by scanning the whole matrix space."""
     return [X for X in all_matrices(M.field, M.n) if X * M == M * X]
+
+
+def _span_unit_count(M):
+    """Units of C(M) by walking its whole span: sum_j c_j * B_j over every
+    c in GF(q)^d, with B the centralizer basis, each tested for full rank.
+    The oracle for the closed form of centralizer_unit_count."""
+    field, n = M.field, M.n
+    add, mul = field.add, field.mul
+    basis = [B.flat_indices for B in mc.centralizer(M).basis]
+    units = 0
+    for c in itertools.product(range(field.q), repeat=len(basis)):
+        flat = [0] * (n * n)
+        for cj, bj in zip(c, basis):
+            if cj:
+                flat = [add(x, mul(cj, y)) for x, y in zip(flat, bj)]
+        _, pivots = row_echelon(field, [flat[i * n:(i + 1) * n]
+                                        for i in range(n)])
+        units += len(pivots) == n
+    return units
 
 
 def test_centralizer_against_full_enumeration():
@@ -31,6 +52,9 @@ def test_centralizer_against_full_enumeration():
         M_(F3, [[1, 0], [0, 2]]),
         M_(F3, [[0, 1], [1, 1]]),
         M_(F2, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+        mc.SquareMatrix.zero(F4, 2),
+        mc.SquareMatrix.diagonal(F4, [1, 2]),
+        M_(F4, [[3, 1], [0, 3]]),
     ]
     for M in cases:
         desc = mc.centralizer(M)
@@ -82,9 +106,63 @@ def test_unit_count_fast_path_matches_enumeration():
             M = rand_matrix(field, n, rng)
             if not mc.is_irreducible(M.charpoly()):
                 continue
-            fast = mc.centralizer_unit_count(M)
-            slow = mc.centralizer_unit_count(M, force_enumeration=True)
-            assert fast == slow == field.q ** n - 1
+            assert mc.centralizer_unit_count(M) == _span_unit_count(M) \
+                == field.q ** n - 1
+
+
+def test_unit_count_matches_span_walk_on_every_small_matrix():
+    for field, n in ((F2, 2), (F3, 2), (F4, 2), (F2, 3)):
+        for M in all_matrices(field, n):
+            assert mc.centralizer_unit_count(M) == _span_unit_count(M), M
+
+
+def test_unit_count_matches_span_walk_over_gf8_and_gf9():
+    # scalar, diagonal and Jordan shapes, where a digit walk that adds each
+    # basis matrix once per step would reach only the GF(p)-multiples
+    for field in (F8, F9):
+        q = field.q
+        cases = [
+            (mc.SquareMatrix.scalar(field, 2, 3), mc.gl_order(q, 2)),
+            (mc.SquareMatrix.diagonal(field, [1, 2]), (q - 1) ** 2),
+            (mc.SquareMatrix.diagonal(field, [1, 2, 5]), (q - 1) ** 3),
+            (M_(field, [[4, 1], [0, 4]]), q * (q - 1)),
+            (M_(field, [[4, 1, 0], [0, 4, 1], [0, 0, 4]]), q * q * (q - 1)),
+        ]
+        for M, units in cases:
+            assert mc.centralizer_unit_count(M) == _span_unit_count(M) \
+                == units
+
+
+def test_unit_count_dimension_matches_commutator_solve():
+    # the closed form's dimension sets where the budget refuses, so it must
+    # equal the dimension of the commutator kernel exactly
+    rng = make_rng(91)
+    cases = [rand_matrix(field, n, rng)
+             for field, n in ((F2, 4), (F2, 6), (F3, 3), (F4, 3), (F9, 3))
+             for _ in range(6)]
+    blocks = {F2: ["x+1", "x+1", "x^2+1", "x^2+x+1", "x^2+x+1", "x"],
+              F3: ["x", "x", "x^2", "x+1", "x^2+1"],
+              F4: ["x+2", "x^2+2", "x^2+x+2", "x+3"]}
+    for field, texts in blocks.items():
+        D = mc.companion_block_diagonal(
+            field, [mc.parse_poly(t, field) for t in texts])
+        P = rand_invertible(field, D.n, rng)
+        cases.append(P * D * P.invert())
+    for M in cases:
+        if mc.is_irreducible(M.charpoly()):
+            continue
+        q, d = M.field.q, mc.centralizer(M).dimension
+        mc.centralizer_unit_count(M, budget=q ** d)
+        with pytest.raises(BudgetError):
+            mc.centralizer_unit_count(M, budget=q ** d - 1)
+
+
+def test_unit_count_of_a_random_20x20_matrix():
+    # cyclic, of charpoly type (1,4)(16,1): 2^20 centralizer elements, which
+    # a span walk under the default budget would visit one by one
+    rng = make_rng(1)
+    M = M_(F2, [[rng.randrange(2) for _ in range(20)] for _ in range(20)])
+    assert mc.centralizer_unit_count(M) == 2 ** 3 * (2 ** 16 - 1)
 
 
 def test_unit_count_budget():

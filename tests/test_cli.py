@@ -244,6 +244,15 @@ def test_centralizer_unit_count_null_over_budget(capsys):
     assert doc["result"]["dimension"] == 9
 
 
+def test_centralizer_unit_count_over_extension_fields(capsys):
+    # |GL_2(4)| for the zero matrix; q(q - 1) for a Jordan block over GF(9)
+    for q, matrix, units in (("4", "0,0;0,0", "180"), ("9", "1,1;0,1", "72")):
+        code, doc = run_json(capsys, "centralizer", "--q", q,
+                             "--matrix", matrix)
+        assert code == 0
+        assert doc["result"]["unit_count"] == units
+
+
 def test_factor_command(capsys):
     code, doc = run_json(capsys, "factor", "--q", "2",
                          "--poly", "x^4+x^2+1")
@@ -380,25 +389,6 @@ def test_repro_pins_timing_and_output_is_byte_stable(capsys):
     doc = json.loads(out)
     assert doc["timing_ms"] == 0
     assert doc["params"]["seed"] == 7
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_THREADS, "3")
-    code, doc = run_json(capsys, "verify", "--q", "2", "--n", "2",
-                         "--mode", "bruteforce")
-    assert code == 0
-    assert doc["params"]["threads"] == 3
-    monkeypatch.setenv(cli.ENV_THREADS, "zebra")
-    code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "2")
-    assert code == 2 and err.startswith("error:usage:")
-    monkeypatch.setenv(cli.ENV_THREADS, "-1")
-    code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "2")
-    assert code == 2
-    # explicit flag wins over the environment
-    monkeypatch.setenv(cli.ENV_THREADS, "3")
-    code, doc = run_json(capsys, "verify", "--q", "2", "--n", "2",
-                         "--threads", "2")
-    assert doc["params"]["threads"] == 2
 
 
 def test_seed_is_echoed_and_respected(capsys):
