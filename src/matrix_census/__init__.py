@@ -8,11 +8,11 @@ from .canonical import (RationalCanonicalForm, are_similar, companion,
                         companion_block_diagonal, rcf, vector_order)
 from .census import (CensusReport, DEFAULT_ENUMERATION_BUDGET,
                      OrbitStabilizerReport, PartitionReport, census_bruteforce,
-                     count_irreducible_case, count_with_charpoly, gl_order,
+                     count_irreducible_case, count_with_charpoly,
                      orbit_stabilizer_report, verify_partition)
 from .centralizer import (CentralizerDescription, DEFAULT_SPAN_BUDGET,
                           centralizer, centralizer_unit_count,
-                          gaussian_binomial, invariant_subspaces,
+                          gaussian_binomial, gl_order, invariant_subspaces,
                           is_polynomial_centralizer)
 from .errors import BudgetError, ParseError, SingularMatrixError
 from .factor import (Factorization, count_monic_irreducibles, factorize,

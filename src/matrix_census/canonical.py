@@ -5,7 +5,8 @@ of maximal order modulo the part already captured: a sum of prime-power parts
 cut from the basis vectors, corrected so the new piece meets the old ones
 trivially.  Each cyclic piece is split into prime-power blocks, sorted by
 (irreducible base in canonical polynomial order, descending exponent), so two
-matrices are similar exactly when their block lists are equal.
+matrices are similar exactly when their block lists are equal.  The
+(base, exponent) pair of each block is kept alongside, in the same order.
 
 The transition matrix P always satisfies P^-1 M P = block diagonal of
 companion matrices; rcf re-checks this identity on every call.
@@ -27,6 +28,7 @@ class RationalCanonicalForm:
     blocks: tuple
     transition: SquareMatrix
     dimension: int
+    prime_powers: tuple  # (monic irreducible f, e) with f^e each block
 
 
 def companion(f: Polynomial) -> SquareMatrix:
@@ -171,7 +173,8 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
     # P^-1 M P = D, with a singular P an internal fault too
     if not P.det() or M * P != P * companion_block_diagonal(field, blocks):
         raise RuntimeError("transition identity failed")
-    return RationalCanonicalForm(tuple(blocks), P, n)
+    return RationalCanonicalForm(tuple(blocks), P, n,
+                                 tuple((f, e) for f, e, _, _ in records))
 
 
 def are_similar(A: SquareMatrix, B: SquareMatrix):

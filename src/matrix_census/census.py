@@ -14,11 +14,10 @@ All counts are exact integers and are computed with integers only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
-from .centralizer import centralizer_unit_count
+from .centralizer import centralizer_unit_count, gl_order
 from .errors import BudgetError
 from .factor import factorize, is_irreducible
 from .field import FieldSpec
@@ -56,20 +55,6 @@ class OrbitStabilizerReport:
     orbit_size: int
     formula_count: int
     consistent: bool
-
-
-@functools.lru_cache(maxsize=None)
-def gl_order(q: int, n: int) -> int:
-    """|GL_n(GF(q))| = prod_{k=0}^{n-1} (q^n - q^k)."""
-    if not isinstance(q, int) or q < 2:
-        raise ValueError("field order must be an integer >= 2")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("dimension must be a positive integer")
-    qn = q ** n
-    out = 1
-    for k in range(n):
-        out *= qn - q ** k
-    return out
 
 
 def count_irreducible_case(q: int, n: int) -> int:

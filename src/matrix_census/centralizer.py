@@ -1,23 +1,25 @@
 """Centralizer algebras C(M) = {X : MX = XM} and invariant subspaces.
 
-The centralizer is computed as the kernel of the commutator map, an n^2 by
-n^2 linear system; the basis comes out of the deterministic elimination in
-echelon form.  Units are counted by closed forms without that system: q^n - 1
-when the characteristic polynomial is irreducible (the centralizer is then a
-field), and otherwise a product over the elementary divisors of the rational
-canonical form.  The unit-count budget caps the reported |C(M)| and bounds
-no work.
+The centralizer's basis is computed as the kernel of the commutator map, an
+n^2 by n^2 linear system, in deterministic echelon form.  Its invariants need
+no such solve.  Whether C(M) = F[M] is read from the degree of the minimal
+polynomial.  Units are counted by closed forms: q^n - 1 when the
+characteristic polynomial is irreducible (the centralizer is then a field),
+and otherwise Green's product over the (irreducible, exponent) pairs that
+``rcf`` records for its blocks, built from ``gl_order``.  The unit-count
+budget caps the reported |C(M)| and bounds no work.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .canonical import rcf
 from .errors import BudgetError
-from .factor import factorize, is_irreducible
+from .factor import is_irreducible
 from .matrix import SquareMatrix, _reduce_mod, nullspace
 
 DEFAULT_SPAN_BUDGET = 2 ** 20
@@ -54,6 +56,21 @@ def centralizer(M: SquareMatrix) -> CentralizerDescription:
     return CentralizerDescription(mats, d, field.q ** d)
 
 
+@functools.lru_cache(maxsize=None)
+def gl_order(q: int, n: int) -> int:
+    """|GL_n(GF(q))| = prod_{k=0}^{n-1} (q^n - q^k), the units of the
+    centralizer of an n x n scalar matrix."""
+    if not isinstance(q, int) or q < 2:
+        raise ValueError("field order must be an integer >= 2")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("dimension must be a positive integer")
+    qn = q ** n
+    out = 1
+    for k in range(n):
+        out *= qn - q ** k
+    return out
+
+
 def centralizer_unit_count(M: SquareMatrix, *,
                            budget: int = DEFAULT_SPAN_BUDGET) -> int:
     """Number of invertible elements of C(M).
@@ -63,30 +80,26 @@ def centralizer_unit_count(M: SquareMatrix, *,
     charpoly.  With Q = q^deg f, the exponents of M's elementary divisors
     f^e forming the partition lambda, S = sum of min(a, b) over pairs of
     parts and m_i the number of parts equal to i, the units at f number
-    Q^(S - sum_i m_i(m_i+1)/2) * prod_i prod_{j<=m_i} (Q^j - 1) (Green,
-    Trans. AMS 80, 1955; Macdonald, *Symmetric Functions and Hall
-    Polynomials*, ch. IV), and dim C(M) = sum_f deg f * S (Frobenius).
-    The count is refused when |C(M)| = q^dim exceeds the budget.
+    Q^(S - sum_i m_i^2) * prod_i |GL_{m_i}(Q)| (Green, Trans. AMS 80,
+    1955; Macdonald, *Symmetric Functions and Hall Polynomials*, ch. IV),
+    and dim C(M) = sum_f deg f * S (Frobenius).  The pairs (f, e) are
+    rcf(M).prime_powers, where the pairs of one f are adjacent.  The count
+    is refused when |C(M)| = q^dim exceeds the budget.
     """
     q = M.field.q
-    chi = M.charpoly()
-    if is_irreducible(chi):
+    if is_irreducible(M.charpoly()):
         return q ** M.n - 1
-    parts = {f: [] for f, _ in factorize(chi).factors}
-    for block in rcf(M).blocks:  # each block is f^e for one f
-        f = next(f for f in parts if (block % f).is_zero)
-        parts[f].append(block.degree // f.degree)
     d = 0
     units = 1
-    for f, lam in parts.items():
+    for f, pairs in itertools.groupby(rcf(M).prime_powers, lambda p: p[0]):
+        lam = [e for _, e in pairs]
         Q = q ** f.degree
         s = sum(min(a, b) for a in lam for b in lam)
         d += f.degree * s
         mults = Counter(lam).values()
-        units *= Q ** (s - sum(m * (m + 1) // 2 for m in mults))
+        units *= Q ** (s - sum(m * m for m in mults))
         for m in mults:
-            for j in range(1, m + 1):
-                units *= Q ** j - 1
+            units *= gl_order(Q, m)
     total = q ** d
     if total > budget:
         raise BudgetError(
@@ -96,15 +109,14 @@ def centralizer_unit_count(M: SquareMatrix, *,
 
 
 def is_polynomial_centralizer(M: SquareMatrix) -> bool:
-    """Whether C(M) is exactly the polynomial algebra generated by M."""
-    return _is_polynomial_centralizer(M, centralizer(M))
+    """Whether C(M) is exactly the polynomial algebra F[M].
 
-
-def _is_polynomial_centralizer(M, desc) -> bool:
-    """is_polynomial_centralizer with desc = centralizer(M) already solved:
-    F[M] lies in C(M) and has dimension deg minpoly(M), so they are equal
-    exactly when the dimensions are."""
-    return desc.dimension == M.minpoly().degree
+    F[M] lies in C(M) and dim F[M] = deg minpoly(M) <= n <= dim C(M), so
+    the two are equal only when deg minpoly(M) = n; and a cyclic M has
+    dim C(M) = n (Gantmacher, *The Theory of Matrices* I, ch. VIII).  So
+    C(M) = F[M] exactly when deg minpoly(M) = n, with no commutator solve.
+    """
+    return M.minpoly().degree == M.n
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,8 +143,6 @@ def invariant_subspaces(M: SquareMatrix, dimension_cap: int | None = None, *,
     The count of candidate subspaces is checked against the budget first, so
     this is practical only for small q and n.
     """
-    import itertools
-
     field = M.field
     q = field.q
     n = M.n

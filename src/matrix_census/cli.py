@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from .canonical import rcf
-from .centralizer import (DEFAULT_SPAN_BUDGET, _is_polynomial_centralizer,
-                          centralizer, centralizer_unit_count)
+from .centralizer import (DEFAULT_SPAN_BUDGET, centralizer,
+                          centralizer_unit_count, is_polynomial_centralizer)
 from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
                      census_bruteforce, count_irreducible_case,
                      orbit_stabilizer_report, verify_partition)
@@ -86,9 +85,9 @@ def _build_parser() -> _Parser:
                    default="both")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
                    help="enumeration budget")
-    p.add_argument("--threads", type=int, default=None,
-                   help="recorded in params.threads (default the machine's "
-                        "parallelism); the census runs in one thread")
+    p.add_argument("--threads", type=int, default=1,
+                   help="recorded in params.threads; the census runs in one "
+                        "thread")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv prints the count table instead of the envelope")
 
@@ -154,14 +153,6 @@ def _decimal(n: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _threads(args):
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise _UsageError("--threads must be a positive integer")
-        return args.threads
-    return os.cpu_count() or 1
-
-
 def _cmd_count(args):
     field = _resolve_field(args)
     params = {"field": _field_params(field), "seed": args.seed}
@@ -201,17 +192,19 @@ def _cmd_verify(args):
         raise _UsageError("verify needs --n")
     if args.n < 1:
         raise _UsageError("--n must be a positive integer")
+    if args.threads < 1:
+        raise _UsageError("--threads must be a positive integer")
     n = args.n
-    threads = _threads(args)
     params = {"field": _field_params(field), "n": n, "mode": args.mode,
-              "seed": args.seed, "budget": args.budget, "threads": threads}
+              "seed": args.seed, "budget": args.budget,
+              "threads": args.threads}
     q = field.q
     mismatches = []
     census = None
     partition = None
     if args.mode in ("bruteforce", "both"):
         census = census_bruteforce(field, n, budget=args.budget,
-                                   threads=threads)
+                                   threads=args.threads)
     if args.mode in ("formula", "both"):
         partition = verify_partition(field, n, budget=args.budget,
                                      seed=args.seed)
@@ -307,7 +300,7 @@ def _cmd_centralizer(args):
         "order": _decimal(desc.order),
         "basis": [format_matrix(b) for b in desc.basis],
         "unit_count": None if units is None else _decimal(units),
-        "is_polynomial_centralizer": _is_polynomial_centralizer(M, desc),
+        "is_polynomial_centralizer": is_polynomial_centralizer(M),
     }
     return params, result
 

@@ -102,11 +102,13 @@ def test_rcf_blocks_are_prime_powers_and_multiply_to_charpoly():
             form = mc.rcf(A)
             assert form.dimension == n
             assert _product(field, form.blocks) == A.charpoly()
-            for b in form.blocks:
+            assert len(form.prime_powers) == len(form.blocks)
+            for b, (f, e) in zip(form.blocks, form.prime_powers):
                 fact = mc.factorize(b)
-                assert len(fact.factors) == 1  # a power of one irreducible
-            keys = [(mc.factorize(b).factors[0][0].sort_key(),
-                     -mc.factorize(b).factors[0][1]) for b in form.blocks]
+                assert list(fact.factors) == [(f, e)]  # one irreducible
+                assert f.is_monic and mc.is_irreducible(f)
+                assert f ** e == b
+            keys = [(f.sort_key(), -e) for f, e in form.prime_powers]
             assert keys == sorted(keys)
 
 

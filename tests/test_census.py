@@ -272,7 +272,7 @@ def test_published_count_checks_survive_optimize():
         # the same blocks with identity transitions make Q = I, but the
         # similar matrices A and B differ
         canonical.rcf = lambda M: mc.RationalCanonicalForm(
-            (quad,), mc.SquareMatrix.identity(F2, 2), 2)
+            (quad,), mc.SquareMatrix.identity(F2, 2), 2, ((quad, 1),))
         try:
             mc.are_similar(mc.parse_matrix("0,1;1,1", F2),
                            mc.parse_matrix("1,1;1,0", F2))

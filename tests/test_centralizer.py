@@ -1,6 +1,7 @@
 """Centralizer algebras, their unit groups, subspace counts, and invariant
 subspaces, cross-checked against whole-space enumeration where feasible."""
 
+import importlib
 import itertools
 
 import pytest
@@ -18,6 +19,8 @@ F4 = mc.make_field(2, 2)
 F8 = mc.make_field(2, 3)
 F9 = mc.make_field(3, 2)
 M_ = mc.SquareMatrix
+# the package binds the name `centralizer` to the function, not the module
+centralizer_module = importlib.import_module("matrix_census.centralizer")
 
 
 def _enumerate_commuting(M):
@@ -203,6 +206,33 @@ def test_is_polynomial_centralizer_against_enumeration():
         polys = {mc.evaluate_poly(mc.Polynomial(field, list(cs)), M)
                  for cs in itertools.product(range(field.q), repeat=n)}
         assert mc.is_polynomial_centralizer(M) == (commuting == polys)
+
+
+def test_is_polynomial_centralizer_solves_no_commutator_system(monkeypatch):
+    # the oracle compares the commutator kernel's dimension with deg minpoly;
+    # the function itself must answer without that kernel
+    rng = make_rng(101)
+    cases = [rand_matrix(field, n, rng)
+             for field, n in ((F2, 4), (F3, 3), (F4, 3), (F9, 3))
+             for _ in range(6)]
+    blocks = {F2: ["x+1", "x+1", "x^2+x+1"], F3: ["x", "x", "x^2+1"],
+              F4: ["x+2", "x^2+x+2", "x^2+x+2"], F9: ["x+2", "x+2", "x+5"]}
+    for field, texts in blocks.items():  # repeated blocks: not cyclic
+        D = mc.companion_block_diagonal(
+            field, [mc.parse_poly(t, field) for t in texts])
+        P = rand_invertible(field, D.n, rng)
+        cases.append(P * D * P.invert())
+    rng = make_rng(1)
+    cases.append(
+        M_(F2, [[rng.randrange(2) for _ in range(20)] for _ in range(20)]))
+    expected = [mc.centralizer(M).dimension == M.minpoly().degree
+                for M in cases]
+    assert expected[-1] and expected[-5:-1] == [False] * 4
+
+    def no_solve(M):
+        raise AssertionError("commutator system solved")
+    monkeypatch.setattr(centralizer_module, "centralizer", no_solve)
+    assert [mc.is_polynomial_centralizer(M) for M in cases] == expected
 
 
 def test_gaussian_binomial_values():

@@ -391,6 +391,14 @@ def test_repro_pins_timing_and_output_is_byte_stable(capsys):
     assert doc["params"]["seed"] == 7
 
 
+def test_verify_threads_defaults_to_the_one_thread_the_census_uses(capsys):
+    # --repro output must not depend on the host's CPU count
+    code, out, err = run_cli(capsys, "verify", "--q", "2", "--n", "1",
+                             "--repro")
+    assert code == 0 and err == ""
+    assert '"threads":1' in out
+
+
 def test_seed_is_echoed_and_respected(capsys):
     code, doc = run_json(capsys, "factor", "--q", "5",
                          "--poly", "x^4+x^2+3", "--seed", "11")
@@ -441,7 +449,7 @@ def test_huge_q_is_refused_before_any_primality_test(capsys, monkeypatch):
 # from the implementation before a refactor that must not change them: the
 # README examples of all six commands over GF(2), GF(3), GF(9) and GF(256),
 # and one usage, one domain and one budget error.  verify passes --threads 1,
-# as params.threads otherwise echoes the machine's CPU count.
+# its default, which params.threads echoes.
 ENVELOPES = [json.loads(line) for line in (
     Path(__file__).with_name("envelopes.jsonl").read_text().splitlines())]
 

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "matrix_census"
@@ -29,3 +30,23 @@ def test_no_debug_only_code_in_src():
              for i, line in enumerate(text.splitlines(), 1)
              if "__debug__" in line]
     assert found == []
+
+
+def test_every_traced_target_resolves():
+    # perfbench/spans.py wraps each (module, attribute) in TARGETS when a run
+    # is traced; one that no longer resolves would crash that run.  The file
+    # is parsed, not imported.
+    spans = SRC.parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(), str(spans))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    missing = []
+    for mod_name, attr, _ in targets:
+        mod = importlib.import_module(f"matrix_census.{mod_name}")
+        cls_name, _, name = attr.rpartition(".")
+        owner = getattr(mod, cls_name) if cls_name else mod
+        if not callable(vars(owner).get(name)):
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
