@@ -28,7 +28,7 @@ from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
                      orbit_stabilizer_report, verify_partition)
 from .errors import BudgetError, ParseError
 from .factor import factorize
-from .field import (DEFAULT_FIELD_ORDER_BUDGET, _prime_power, is_prime,
+from .field import (DEFAULT_FIELD_ORDER_BUDGET, field_from_order, is_prime,
                     make_field)
 from .matrix import format_matrix, parse_matrix
 from .poly import Polynomial, format_poly, parse_poly
@@ -53,7 +53,10 @@ def _build_parser() -> _Parser:
                "joined by ';' with ',' between entries, e.g. 0,1;1,1.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=False, poly=False, needs_n=False):
+    def common(name, handler, about, matrix=False, poly=False,
+               needs_n=False):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(handler=handler)
         p.add_argument("--q", type=int, required=True,
                        help="field order (prime, or prime power without --k)")
         p.add_argument("--k", type=int, default=None,
@@ -76,11 +79,11 @@ def _build_parser() -> _Parser:
                        help="pin timing_ms to 0 for byte-stable output")
         return p
 
-    p = sub.add_parser("count", help="count matrices with a given charpoly")
-    common(p, poly=True, needs_n=True)
+    common("count", _cmd_count, "count matrices with a given charpoly",
+           poly=True, needs_n=True)
 
-    p = sub.add_parser("verify", help="check census against closed forms")
-    common(p, needs_n=True)
+    p = common("verify", _cmd_verify, "check census against closed forms",
+               needs_n=True)
     p.add_argument("--mode", choices=("formula", "bruteforce", "both"),
                    default="both")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
@@ -91,50 +94,42 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv prints the count table instead of the envelope")
 
-    p = sub.add_parser("rcf", help="rational canonical form")
-    common(p, matrix=True)
+    common("rcf", _cmd_rcf, "rational canonical form", matrix=True)
 
-    p = sub.add_parser("centralizer", help="centralizer of a matrix")
-    common(p, matrix=True)
+    p = common("centralizer", _cmd_centralizer, "centralizer of a matrix",
+               matrix=True)
     p.add_argument("--budget", type=int, default=DEFAULT_SPAN_BUDGET,
                    help="largest centralizer order whose unit count is "
                         "reported")
 
-    p = sub.add_parser("factor", help="factor a polynomial")
-    common(p, poly="required")
-
-    p = sub.add_parser("orbit", help="orbit/stabilizer report for a matrix "
-                                     "with irreducible charpoly")
-    common(p, matrix=True)
+    common("factor", _cmd_factor, "factor a polynomial", poly="required")
+    common("orbit", _cmd_orbit, "orbit/stabilizer report for a matrix with "
+                                "irreducible charpoly", matrix=True)
     return top
 
 
 def _resolve_field(args):
     """The field named by --q and --k, checked against --field-budget."""
-    q, k = args.q, args.k
-    if k is not None and k < 1:
-        raise _UsageError("--k must be a positive integer")
-    # the order is at least q: a huge q is refused before the primality and
-    # prime-power tests, whose cost grows with q
-    if q > args.field_budget:
-        raise BudgetError(
-            f"field order {q} exceeds the budget {args.field_budget}")
+    q, k, budget = args.q, args.k, args.field_budget
     if k is None:
         try:
-            p, k = _prime_power(q)
+            return field_from_order(q, max_order=budget)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    elif not is_prime(q):
+    if k < 1:
+        raise _UsageError("--k must be a positive integer")
+    # the order is at least q: a huge q is refused before the primality test,
+    # whose cost grows with q
+    if q > budget:
+        raise BudgetError(f"field order {q} exceeds the budget {budget}")
+    if not is_prime(q):
         raise _UsageError("--q must be prime when --k is given")
-    else:
-        p = q
-    return make_field(p, k, max_order=args.field_budget)
+    return make_field(q, k, max_order=budget)
 
 
 def _field_params(field):
-    # the modulus coefficients are prime-field indices, so need no arithmetic
     mod = (None if field.modulus is None
-           else format_poly(Polynomial._raw(field, list(field.modulus))))
+           else format_poly(Polynomial(field, field.modulus)))
     return {"p": field.p, "k": field.k, "q": field.q, "modulus": mod}
 
 
@@ -155,25 +150,25 @@ def _decimal(n: int) -> str:
 
 def _cmd_count(args):
     field = _resolve_field(args)
+    if args.n is not None and args.n < 1:
+        raise _UsageError("--n must be a positive integer")
     params = {"field": _field_params(field), "seed": args.seed}
     if args.poly is None:  # needs q only, so the field's tables are not built
         if args.n is None:
             raise _UsageError("count needs --n when --poly is omitted")
-        if args.n < 1:
-            raise _UsageError("--n must be a positive integer")
         params.update(n=args.n, poly=None)
         result = {
             "count": _decimal(count_irreducible_case(field.q, args.n)),
             "formula": "theorem1",
             "factorization": None,
         }
-        return params, result
+        return params, result, None
     g = parse_poly(args.poly, field)
+    if g.degree < 1 or not g.is_monic:
+        raise ValueError("count needs a monic polynomial of degree >= 1")
     if args.n is not None and args.n != g.degree:
         raise ValueError(
             f"--n {args.n} does not match the polynomial degree {g.degree}")
-    if g.degree < 1 or not g.is_monic:
-        raise ValueError("count needs a monic polynomial of degree >= 1")
     fact = factorize(g, seed=args.seed)
     irred = len(fact.factors) == 1 and fact.factors[0][1] == 1
     count = _count_from_factors(field.q, g.degree, fact.factors)
@@ -183,7 +178,7 @@ def _cmd_count(args):
         "formula": "theorem1" if irred else "general",
         "factorization": [[format_poly(f), m] for f, m in fact.factors],
     }
-    return params, result
+    return params, result, None
 
 
 def _cmd_verify(args):
@@ -199,55 +194,46 @@ def _cmd_verify(args):
               "seed": args.seed, "budget": args.budget,
               "threads": args.threads}
     q = field.q
-    mismatches = []
-    census = None
-    partition = None
-    if args.mode in ("bruteforce", "both"):
+    census = partition = None
+    if args.mode != "formula":
         census = census_bruteforce(field, n, budget=args.budget,
                                    threads=args.threads)
-    if args.mode in ("formula", "both"):
+    if args.mode != "bruteforce":
         partition = verify_partition(field, n, budget=args.budget,
                                      seed=args.seed)
     # computed only once a budget check has bounded it
     expected_total = q ** (n * n)
-    if args.mode == "formula":
-        ok = partition.equal
+    mismatches = []
+    if census is None:
         total = partition.lhs_total
-        if not ok:
+        if not partition.equal:
             mismatches.append({
                 "charpoly": None,
                 "census": None,
                 "formula": _decimal(partition.lhs_total),
                 "expected": _decimal(partition.rhs_total)})
-    elif args.mode == "bruteforce":
-        total = census.total
-        ok = total == expected_total
     else:
         total = census.total
-        ok = total == expected_total and partition.equal
-        irreducible_count = count_irreducible_case(q, n)
-        for g, formula_count in partition.entries.items():
-            got = census.entries.get(g, 0)
-            row_ok = got == formula_count
-            if g in partition.irreducible:
-                row_ok = row_ok and got == irreducible_count
-            if not row_ok:
-                ok = False
-                mismatches.append({
-                    "charpoly": format_poly(g),
-                    "census": _decimal(got),
-                    "formula": _decimal(formula_count)})
-        for g in census.entries:
-            if g not in partition.entries:
-                ok = False
-                mismatches.append({
-                    "charpoly": format_poly(g),
-                    "census": _decimal(census.entries[g]),
-                    "formula": None})
+        if partition is not None:
+            irreducible_count = count_irreducible_case(q, n)
+            # the formula's charpolys in order, then any only the census found
+            for g in {**partition.entries, **census.entries}:
+                got = census.entries.get(g, 0)
+                want = partition.entries.get(g)
+                if got != want or (g in partition.irreducible
+                                   and got != irreducible_count):
+                    mismatches.append({
+                        "charpoly": format_poly(g),
+                        "census": _decimal(got),
+                        "formula": None if want is None else _decimal(want)})
+    ok = (not mismatches and (partition is None or partition.equal)
+          and (census is None or total == expected_total))
     result = {"pass": ok, "total": _decimal(total),
               "expected_total": _decimal(expected_total),
               "mismatches": mismatches}
-    return params, result, census, partition
+    table = (_verify_csv(args.mode, census, partition)
+             if args.format == "csv" else None)
+    return params, result, table
 
 
 def _verify_csv(mode, census, partition) -> str:
@@ -284,7 +270,7 @@ def _cmd_rcf(args):
         "transition": format_matrix(form.transition),
         "dimension": form.dimension,
     }
-    return params, result
+    return params, result, None
 
 
 def _cmd_centralizer(args):
@@ -302,7 +288,7 @@ def _cmd_centralizer(args):
         "unit_count": None if units is None else _decimal(units),
         "is_polynomial_centralizer": is_polynomial_centralizer(M),
     }
-    return params, result
+    return params, result, None
 
 
 def _cmd_factor(args):
@@ -315,7 +301,7 @@ def _cmd_factor(args):
         "leading": str(fact.leading),
         "factors": [[format_poly(f), m] for f, m in fact.factors],
     }
-    return params, result
+    return params, result, None
 
 
 def _cmd_orbit(args):
@@ -329,10 +315,10 @@ def _cmd_orbit(args):
         "formula_count": _decimal(report.formula_count),
         "consistent": report.consistent,
     }
-    return params, result
+    return params, result, None
 
 
-def _emit(command, params, result, started, repro):
+def _envelope(command, params, result, started, repro) -> str:
     ms = 0 if repro else int((time.perf_counter() - started) * 1000)
     envelope = {
         "schema_version": "1",
@@ -341,8 +327,7 @@ def _emit(command, params, result, started, repro):
         "result": result,
         "timing_ms": ms,
     }
-    sys.stdout.write(
-        json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def run(argv=None) -> int:
@@ -353,31 +338,15 @@ def run(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse -h or similar
             return int(exc.code or 0)
-        if args.command == "count":
-            params, result = _cmd_count(args)
-        elif args.command == "verify":
-            params, result, census, partition = _cmd_verify(args)
-            if args.format == "csv":
-                sys.stdout.write(_verify_csv(args.mode, census, partition))
-                return 0 if result["pass"] else 1
-            _emit("verify", params, result, started, args.repro)
-            return 0 if result["pass"] else 1
-        elif args.command == "rcf":
-            params, result = _cmd_rcf(args)
-        elif args.command == "centralizer":
-            params, result = _cmd_centralizer(args)
-        elif args.command == "factor":
-            params, result = _cmd_factor(args)
-        elif args.command == "orbit":
-            params, result = _cmd_orbit(args)
-        else:  # pragma: no cover
-            raise _UsageError(f"unknown command {args.command!r}")
-        _emit(args.command, params, result, started, args.repro)
-        return 0
-    except _UsageError as exc:
-        sys.stderr.write(f"error:usage:{exc}\n")
-        return 2
-    except ParseError as exc:
+        # every handler returns the envelope's params and result, and text
+        # to print in its place or None; a failed check exits 1
+        params, result, text = args.handler(args)
+        if text is None:
+            text = _envelope(args.command, params, result, started,
+                             args.repro)
+        sys.stdout.write(text)
+        return 0 if result.get("pass", True) else 1
+    except (_UsageError, ParseError) as exc:
         sys.stderr.write(f"error:usage:{exc}\n")
         return 2
     except BudgetError as exc:

@@ -1,6 +1,8 @@
 """Command-line interface: envelope schema, exit codes, output formats,
 and byte-level determinism."""
 
+import dataclasses
+import importlib
 import json
 import sys
 import time
@@ -157,6 +159,28 @@ def test_verify_corrupted_formula_mode_formula(capsys, monkeypatch):
                          "--mode", "formula")
     assert code == 1
     assert doc["result"]["pass"] is False
+    # one whole-table row: the per-charpoly rows need the census
+    assert doc["result"]["mismatches"] == [
+        {"charpoly": None, "census": None, "formula": "20",
+         "expected": "16"}]
+
+
+def test_verify_flags_a_charpoly_only_the_census_found(capsys, monkeypatch):
+    # a census row the formula lacks comes after the formula's own rows
+    field = mc.make_field(2)
+    real = census_mod.census_bruteforce(field, 2)
+    stray = {**real.entries, mc.parse_poly("x^3", field): 1}
+    monkeypatch.setattr(cli, "census_bruteforce", lambda *a, **kw:
+                        dataclasses.replace(real, entries=stray))
+    _corrupt_formula(monkeypatch)
+    code, doc = run_json(capsys, "verify", "--q", "2", "--n", "2",
+                         "--mode", "both")
+    assert code == 1
+    assert doc["result"]["pass"] is False
+    rows = doc["result"]["mismatches"]
+    assert [m["charpoly"] for m in rows] == [
+        "x^2", "x^2+x", "x^2+1", "x^2+x+1", "x^3"]
+    assert rows[-1] == {"charpoly": "x^3", "census": "1", "formula": None}
 
 
 def test_verify_flags_theorem1_rows(capsys, monkeypatch):
@@ -303,6 +327,11 @@ def test_usage_errors(capsys):
         ("count", "--q", "2", "--n", "2", "--poly", "x^2+"),   # parse error
         ("rcf", "--q", "2", "--matrix", "0,1;1"),              # ragged rows
         ("count", "--q", "2", "--n", "2", "--poly", "x^2+x+2"),  # bad index
+        ("count", "--q", "2", "--n", "-3", "--poly", "x"),  # --n checked first
+        ("count", "--q", "1", "--n", "2"),            # field orders below 2
+        ("count", "--q", "0", "--n", "2"),
+        ("count", "--q", "-4", "--n", "2"),
+        ("count", "--q", "2", "--k", "0", "--n", "2"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -310,6 +339,17 @@ def test_usage_errors(capsys):
         assert out == ""
         assert err.startswith("error:usage:"), (argv, err)
         assert err.count("\n") == 1
+
+
+def test_count_of_a_constant_poly_is_a_domain_error(capsys):
+    # the monic degree >= 1 check comes before the --n match, so the degree
+    # of the zero polynomial is never printed
+    for poly in ("0", "1"):
+        code, out, err = run_cli(capsys, "count", "--q", "2", "--n", "2",
+                                 "--poly", poly)
+        assert (code, out) == (1, "")
+        assert err == ("error:domain:count needs a monic polynomial of "
+                       "degree >= 1\n")
 
 
 def test_unknown_flag_and_command_are_usage_errors(capsys):
@@ -429,7 +469,7 @@ def test_huge_q_is_refused_before_any_primality_test(capsys, monkeypatch):
     def never(q):
         raise AssertionError("primality test on an over-budget q")
 
-    monkeypatch.setattr(cli, "_prime_power", never)
+    monkeypatch.setattr(field_mod, "_prime_power", never)
     monkeypatch.setattr(cli, "is_prime", never)
     monkeypatch.setattr(field_mod, "is_prime", never)
     q = "1000000000000000003"  # prime
@@ -443,6 +483,24 @@ def test_huge_q_is_refused_before_any_primality_test(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "count", "--q", str(2 ** 40 * 3), "--n",
                            "2")
     assert code == 3 and err.startswith("error:budget:")
+
+
+def test_parser_accepts_every_benchmark_argv(monkeypatch):
+    # the benchmark sends these command lines through cli.run; its files are
+    # imported only, so a flag the parser drops fails here, not mid-run
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    parser = cli._build_parser()
+    argvs = [op.argv for name in workloads.WORKLOADS
+             for ops in workloads.make_ops(name, 201) for op in ops]
+    assert argvs
+    for argv in argvs:
+        try:
+            args = parser.parse_args(argv)
+        except cli._UsageError as exc:
+            pytest.fail(f"{' '.join(argv)}: {exc}")
+        assert callable(args.handler), argv
 
 
 # stdout, stderr and exit code of each invocation, with --repro, recorded
