@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .factor import factorize
 from .field import FieldSpec
-from .matrix import (SquareMatrix, _basis_conductors, _conductor,
+from .matrix import (SquareMatrix, _basis_conductors, _conductor, _solve,
                      poly_times_vector, row_echelon)
 from .poly import Polynomial
 
@@ -68,21 +68,12 @@ def vector_order(M: SquareMatrix, v) -> Polynomial:
     return _conductor(M, v, [], [])
 
 
-def _solve_columns(field, cols, target):
-    """Coefficients a with sum(a_t * cols[t]) = target, or None."""
-    if not cols:
-        return [] if not any(target) else None
-    n = len(cols[0])
-    aug = [[cols[t][i] for t in range(len(cols))] + [target[i]]
-           for i in range(n)]
-    rref, pivots = row_echelon(field, aug)
-    m = len(cols)
-    if m in pivots:
-        return None  # inconsistent
-    out = [0] * m
-    for row, pc in zip(rref, pivots):
-        out[pc] = row[m]
-    return out
+def _krylov_columns(M, v, d: int) -> list:
+    """[v, M v, ..., M^(d-1) v] for d >= 1, as lists."""
+    cols = [list(v)]
+    for _ in range(d - 1):
+        cols.append(list(M.apply(cols[-1])))
+    return cols
 
 
 def _maximal_vector(M, wrref, wpivots, cap):
@@ -124,14 +115,17 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
         # f(M) v = 0 exactly; v keeps its order f modulo span(W)
         u = poly_times_vector(f, M, v)
         if any(u):
-            a = _solve_columns(field, wcols, u)
+            # W's columns are independent (checked below), so None means
+            # that u lies outside their span
+            a = _solve(field, [[c[i] for c in wcols] for i in range(n)],
+                       [[c] for c in u])
             if a is None:
                 raise RuntimeError(
                     "conductor image escaped the captured space")
             pos = 0
             for gv, gf, _ in gens:
                 d = gf.degree
-                gpoly = Polynomial._raw(field, list(a[pos:pos + d]))
+                gpoly = Polynomial._raw(field, [r[0] for r in a[pos:pos + d]])
                 pos += d
                 quo, rem = divmod(gpoly, f)
                 if not rem.is_zero:
@@ -140,11 +134,8 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
                 v = [field.sub(x, y) for x, y in zip(v, corr)]
 
         gens.append((v, f, fact))
-        cur = list(v)
-        for _ in range(f.degree):
-            wcols.append(list(cur))
-            cur = list(M.apply(cur))
-        wrref, wpivots = row_echelon(field, [list(c) for c in wcols])
+        wcols.extend(_krylov_columns(M, v, f.degree))
+        wrref, wpivots = row_echelon(field, wcols)
         if len(wpivots) != len(wcols):
             raise RuntimeError("cyclic pieces are not independent")
 
@@ -161,10 +152,7 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
     blocks = []
     for base, e, ppow, u in records:
         blocks.append(ppow)
-        cur = list(u)
-        for _ in range(ppow.degree):
-            cols.append(list(cur))
-            cur = list(M.apply(cur))
+        cols.extend(_krylov_columns(M, u, ppow.degree))
     flat = [0] * (n * n)
     for t, c in enumerate(cols):
         for i in range(n):

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .centralizer import centralizer_unit_count, gl_order
-from .errors import BudgetError
+from .errors import within_budget
 from .factor import factorize, is_irreducible
 from .field import FieldSpec
 from .matrix import SquareMatrix, _berkowitz_step, _krylov
@@ -139,17 +139,8 @@ def census_bruteforce(spec: FieldSpec, n: int, *,
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
-    q = spec.q
-    # q**(n*n) >= 2**(n*n*(bits of q - 1)) > 2**64 * budget: refused without
-    # computing q**(n*n), which can be too long to print or even to hold
-    if n * n * (q.bit_length() - 1) >= budget.bit_length() + 64:
-        raise BudgetError(
-            f"census of {q}^{n * n} matrices exceeds the budget {budget}")
-    total = q ** (n * n)
-    if total > budget:
-        raise BudgetError(
-            f"census of {q}^{n * n} = {total} matrices exceeds the "
-            f"budget {budget}")
+    total = within_budget(spec.q, n * n, budget,
+                          "census of {} matrices exceeds the budget {}")
     tally = _census_tally(spec, n)
     polys = sorted(
         (Polynomial._raw(spec, list(reversed(key))) for key in tally),
@@ -158,7 +149,7 @@ def census_bruteforce(spec: FieldSpec, n: int, *,
     got = sum(entries.values())
     if got != total:
         raise RuntimeError(f"census tallied {got} of {total} matrices")
-    return CensusReport(q, n, entries, got)
+    return CensusReport(spec.q, n, entries, got)
 
 
 def verify_partition(spec: FieldSpec, n: int, *,
@@ -169,12 +160,7 @@ def verify_partition(spec: FieldSpec, n: int, *,
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
     q = spec.q
-    if n * (q.bit_length() - 1) >= budget.bit_length() + 64:  # as in the census
-        raise BudgetError(
-            f"{q}^{n} monic polynomials exceed the budget {budget}")
-    if q ** n > budget:
-        raise BudgetError(
-            f"{q}^{n} = {q ** n} monic polynomials exceed the budget {budget}")
+    within_budget(q, n, budget, "{} monic polynomials exceed the budget {}")
     entries = {}
     irreducible = set()
     for g in monic_polys(spec, n):

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .canonical import rcf
-from .errors import BudgetError
+from .errors import BudgetError, within_budget
 from .factor import is_irreducible
 from .matrix import SquareMatrix, _reduce_mod, nullspace
 
@@ -100,11 +100,8 @@ def centralizer_unit_count(M: SquareMatrix, *,
         units *= Q ** (s - sum(m * m for m in mults))
         for m in mults:
             units *= gl_order(Q, m)
-    total = q ** d
-    if total > budget:
-        raise BudgetError(
-            f"centralizer span of size {q}^{d} = {total} exceeds the "
-            f"budget {budget}")
+    within_budget(q, d, budget,
+                  "centralizer span of size {} exceeds the budget {}")
     return units
 
 

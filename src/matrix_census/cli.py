@@ -196,8 +196,7 @@ def _cmd_verify(args):
     q = field.q
     census = partition = None
     if args.mode != "formula":
-        census = census_bruteforce(field, n, budget=args.budget,
-                                   threads=args.threads)
+        census = census_bruteforce(field, n, budget=args.budget)
     if args.mode != "bruteforce":
         partition = verify_partition(field, n, budget=args.budget,
                                      seed=args.seed)

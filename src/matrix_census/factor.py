@@ -67,11 +67,8 @@ def _squarefree_parts(f: Polynomial) -> list:
     if f.degree < 1:
         return []
     p = f.field.p
-    df = f.derivative()
-    if df.is_zero:
-        return [(g, m * p) for g, m in _squarefree_parts(_pth_root(f))]
     parts = []
-    c = f.gcd(df)
+    c = f.gcd(f.derivative())  # f itself when the derivative vanishes
     w = f // c
     i = 1
     while w.degree > 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .errors import BudgetError
+from .errors import BudgetError, within_budget
 
 DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 
@@ -59,6 +59,19 @@ def _trial_division(n: int):
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
     return n >= 2 and next(_trial_division(n)) == (n, 1)
+
+
+def power(mul, a, e: int, one):
+    """a**e under the product mul, by square-and-multiply, e >= 0.  The
+    identity one is returned for e = 0 and never multiplied."""
+    r = None
+    while e:
+        if e & 1:
+            r = a if r is None else mul(r, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return one if r is None else r
 
 
 def _ints(n: int):
@@ -126,29 +139,19 @@ def _log_tables(p: int, k: int, modulus: tuple):
     q = p ** k
     n1 = q - 1
     xtime, mul = _shift_ops(p, k, modulus)
-
-    def power(a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = mul(r, a)
-            a = mul(a, a)
-            e >>= 1
-        return r
-
     # indices below p are the prime field, of order dividing p - 1
     primes = [r for r, _ in _trial_division(n1)]
     g = next(c for c in range(p, q)
-             if all(power(c, n1 // r) != 1 for r in primes))
+             if all(power(mul, c, n1 // r, 1) != 1 for r in primes))
     # Walk the powers of x (index p), O(1) per step, over the u cosets of
     # the subgroup <x> of order d.  With g^u = x^v, x = g^s for
     # s = u * v^-1 mod d, so h * x^j = g^(r + s*j) in the coset of h = g^r.
     d = n1
     for r in primes:
-        while d % r == 0 and power(p, d // r) == 1:
+        while d % r == 0 and power(mul, p, d // r, 1) == 1:
             d //= r
     u = n1 // d
-    gu = power(g, u)
+    gu = power(mul, g, u, 1)
     a, v = 1, 0
     while a != gu:
         a = xtime(a)
@@ -176,16 +179,8 @@ def _check_order(p: int, k: int, max_order: int) -> int:
         raise ValueError(f"characteristic must be prime, got {p!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
-    # the budget comes before the primality test, whose cost grows with p;
-    # p**k >= 2**k > 2**64 * max_order: refused without computing p**k,
-    # which can be too long to print or even to hold
-    if k >= max_order.bit_length() + 64:
-        raise BudgetError(
-            f"field order {p}^{k} exceeds the budget {max_order}")
-    q = p ** k
-    if q > max_order:
-        raise BudgetError(
-            f"field order {p}^{k} = {q} exceeds the budget {max_order}")
+    # the budget comes before the primality test, whose cost grows with p
+    q = within_budget(p, k, max_order, "field order {} exceeds the budget {}")
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p!r}")
     return q

@@ -13,8 +13,10 @@ form and every kernel basis is deterministic.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ParseError, SingularMatrixError
-from .field import FieldSpec
+from .field import FieldSpec, power
 from .poly import Polynomial
 
 
@@ -54,18 +56,11 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "SquareMatrix":
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return cls._raw(field, n, flat)
+        return cls.diagonal(field, [1] * n)
 
     @classmethod
     def scalar(cls, field, n: int, c) -> "SquareMatrix":
-        c = field._index(c, "entry")
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = c
-        return cls._raw(field, n, flat)
+        return cls.diagonal(field, [c] * n)
 
     @classmethod
     def diagonal(cls, field, entries) -> "SquareMatrix":
@@ -136,15 +131,8 @@ class SquareMatrix:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("matrix exponent must be a nonnegative integer")
-        result = SquareMatrix.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(operator.mul, self, e,
+                     SquareMatrix.identity(self.field, self.n))
 
     def apply(self, v) -> tuple:
         """Matrix times column vector of element indices."""
@@ -178,19 +166,11 @@ class SquareMatrix:
 
     def invert(self) -> "SquareMatrix":
         n = self.n
-        field = self.field
-        aug = []
-        for i in range(n):
-            row = list(self._e[i * n:(i + 1) * n]) + [0] * n
-            row[n + i] = 1
-            aug.append(row)
-        rref, pivots = row_echelon(field, aug)
-        if len(pivots) < n or pivots[:n] != list(range(n)):
+        x = _solve(self.field, [self._e[i * n:(i + 1) * n] for i in range(n)],
+                   [[int(i == j) for j in range(n)] for i in range(n)])
+        if x is None:
             raise SingularMatrixError("matrix is singular")
-        flat = []
-        for i in range(n):
-            flat.extend(rref[i][n:])
-        return SquareMatrix._raw(field, n, flat)
+        return SquareMatrix._raw(self.field, n, [c for row in x for c in row])
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -356,6 +336,18 @@ def row_echelon(field: FieldSpec, rows):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _solve(field: FieldSpec, a_rows, b_rows):
+    """The rows of X with A X = B, for A with m columns, or None unless the
+    echelon form of [A | B] has pivots exactly 0..m-1: A has rank m and
+    each column of B lies in A's column space."""
+    m = len(a_rows[0])
+    rref, pivots = row_echelon(
+        field, [[*a, *b] for a, b in zip(a_rows, b_rows)])
+    if pivots != list(range(m)):
+        return None
+    return [row[m:] for row in rref]
 
 
 def nullspace(field: FieldSpec, rows, ncols: int):

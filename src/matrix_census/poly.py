@@ -8,8 +8,10 @@ arithmetic without a fake -1.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ParseError
-from .field import FieldSpec
+from .field import FieldSpec, power
 
 NEG_INF = float("-inf")
 
@@ -95,14 +97,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        sub, neg = self.field.sub, self.field.neg
+        sub = self.field.sub
         a, b = self._c, other._c
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else 0
-            y = b[i] if i < len(b) else 0
-            out.append(sub(x, y))
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = sub(out[i], c)
         return Polynomial._raw(self.field, out)
 
     def __neg__(self):
@@ -164,20 +163,13 @@ class Polynomial:
     def __pow__(self, e: int, mod: "Polynomial | None" = None):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        if mod is not None:
-            self._check(mod)
-            if mod.is_zero:
-                raise ZeroDivisionError("zero modulus")
-        red = (lambda a: a) if mod is None else (lambda a: a % mod)
-        result = None  # one, until the lowest set bit of e
-        base = red(self)
-        while e:
-            if e & 1:
-                result = base if result is None else red(result * base)
-            e >>= 1
-            if e:
-                base = red(base * base)
-        return Polynomial.one(self.field) if result is None else result
+        one = Polynomial.one(self.field)
+        if mod is None:
+            return power(operator.mul, self, e, one)
+        self._check(mod)
+        if mod.is_zero:
+            raise ZeroDivisionError("zero modulus")
+        return power(lambda a, b: a * b % mod, self % mod, e, one)
 
     def __call__(self, x: int) -> int:
         """The value at the element with index x, by Horner."""

@@ -341,6 +341,12 @@ def test_usage_errors(capsys):
         assert err.count("\n") == 1
 
 
+def test_parse_error_position_reaches_stderr(capsys):
+    code, out, err = run_cli(capsys, "factor", "--q", "2", "--poly", "1x")
+    assert (code, out) == (2, "")
+    assert err == "error:usage:expected + between terms (at position 1)\n"
+
+
 def test_count_of_a_constant_poly_is_a_domain_error(capsys):
     # the monic degree >= 1 check comes before the --n match, so the degree
     # of the zero polynomial is never printed

@@ -5,7 +5,7 @@ import pytest
 
 import matrix_census as mc
 from matrix_census import field as field_mod
-from matrix_census.errors import BudgetError
+from matrix_census.errors import BudgetError, within_budget
 
 from conftest import brute_irreducible, make_rng
 
@@ -273,6 +273,21 @@ def test_field_order_budget():
     assert F.q == 2 ** 21
     a = _ref_index(F, (0, 1))  # x
     assert F.mul(a, a) == _ref_index(F, (0, 0, 1))
+
+
+def test_within_budget_checks_the_value_and_a_lower_bound():
+    message = "size {} exceeds the budget {}"
+    assert within_budget(3, 4, 81, message) == 81
+    with pytest.raises(BudgetError) as info:
+        within_budget(3, 4, 80, message)
+    assert str(info.value) == "size 3^4 = 81 exceeds the budget 80"
+    # 2^71 = 2^(bits of 80 + 64) is refused without computing it
+    with pytest.raises(BudgetError) as info:
+        within_budget(2, 71, 80, message)
+    assert str(info.value) == "size 2^71 exceeds the budget 80"
+    with pytest.raises(BudgetError) as info:
+        within_budget(2, 70, 80, message)
+    assert str(info.value) == f"size 2^70 = {2 ** 70} exceeds the budget 80"
 
 
 def test_extension_field_above_log_table_cap_is_refused():

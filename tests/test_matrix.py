@@ -62,6 +62,8 @@ def test_known_products_and_inverse():
     assert A ** 2 == A * A
     assert A ** 5 == A * A * A * A * A
     assert A ** 0 == mc.SquareMatrix.identity(F2, 2)
+    with pytest.raises(ValueError):
+        A ** -1
 
 
 def test_apply_matches_manual_sum():

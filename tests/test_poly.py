@@ -138,8 +138,13 @@ def test_pow_plain_and_modular():
     # x^(q^n) = x mod f for irreducible f (here x^2+1 over GF(3), q^n = 9)
     x = Polynomial.x(F3)
     assert pow(x, 9, m) == x % m
+    assert pow(f, 0, m) == Polynomial.one(F3)
+    g = P(F3, 2, 0, 0, 1)  # x^3 + 2 = 2x + 2 mod x^2 + 1
+    assert pow(g, 1, m) == P(F3, 2, 2)
     with pytest.raises(ValueError):
         f ** -1
+    with pytest.raises(ZeroDivisionError):
+        pow(f, 2, Polynomial.zero(F3))
 
 
 def test_evaluation_horner_matches_direct():
@@ -236,12 +241,25 @@ def test_parse_accepts_spaces_and_repeated_terms():
 
 
 def test_parse_errors_carry_positions():
-    cases = ["", "x^", "2x", "x^2+", "*x", "x^2++1", "y", "x^-1"]
-    for text in cases:
+    cases = [
+        ("", "empty polynomial text", 0),
+        ("x^", "expected an exponent", 2),
+        ("2x", "coefficient 2 out of range [0, 2)", 0),
+        ("x^2+", "trailing +", 3),
+        ("*x", "expected a term", 0),
+        ("x^2++1", "expected a term", 4),
+        ("y", "expected a term", 0),
+        ("x^-1", "expected an exponent", 2),
+        ("1x", "expected + between terms", 1),
+        ("x 1", "expected + between terms", 2),  # positions count spaces
+        ("1*", "expected x after *", 2),         # the end of the text
+        ("1 * y", "expected x after *", 4),
+    ]
+    for text, message, position in cases:
         with pytest.raises(mc.ParseError) as info:
             mc.parse_poly(text, F2)
-        assert info.value.position >= 0
-        assert "position" in str(info.value)
+        assert info.value.position == position, text
+        assert str(info.value) == f"{message} (at position {position})"
     assert mc.parse_poly("8*x", F9) == P(F9, 0, 8)  # indices up to q-1 parse
     with pytest.raises(mc.ParseError):
         mc.parse_poly("9*x", F9)

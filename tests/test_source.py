@@ -50,3 +50,12 @@ def test_every_traced_target_resolves():
         if not callable(vars(owner).get(name)):
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_each_shared_kernel_has_one_home():
+    # the lower bound that refuses a budget without computing b^e lives in
+    # errors.within_budget, and square-and-multiply in field.power
+    homes = {"bit_length() + 64": ["errors.py"], "e >>= 1": ["field.py"]}
+    for needle, files in homes.items():
+        assert [path.name for path, text in _sources()
+                if needle in text] == files, needle
