@@ -2,9 +2,14 @@
 
 The pipeline is classical: squarefree decomposition (with p-th root
 extraction when the derivative vanishes), then distinct-degree splitting by
-Frobenius powers, then Cantor-Zassenhaus equal-degree splitting.  Splitting
-uses a seeded deterministic generator, and the factor list is sorted into the
+Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).  Splitting uses a
+seeded deterministic generator, and the factor list is sorted into the
 canonical polynomial order, so the result is independent of the seed.
+
+Every stage works on coefficient lists through the list-level kernel in
+``poly``.  ``Polynomial`` is the API boundary: ``factorize`` and
+``is_irreducible`` take one and convert only at entry and exit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .field import FieldSpec, _trial_division
-from .poly import Polynomial
+from .poly import (Polynomial, _add, _derivative, _divmod, _gcd, _monic,
+                   _mul, _pow, _sub, _trim)
 
 
 @dataclass(frozen=True)
@@ -23,10 +29,10 @@ class Factorization:
 
     def expand(self, field: FieldSpec) -> Polynomial:
         """The product leading * f^m over the factors, in GF(q)[x]."""
-        out = Polynomial._raw(field, [self.leading])
+        out = [self.leading]
         for f, m in self.factors:
-            out = out * pow(f, m)
-        return out
+            out = _mul(field, out, _pow(field, f.coeff_indices, m))
+        return Polynomial._raw(field, out)
 
     @property
     def degree(self) -> int:
@@ -43,106 +49,102 @@ def is_irreducible(f: Polynomial) -> bool:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no irreducibility status")
-    if f.degree == 0:
-        return False
-    return next(_distinct_degree(f.monic()))[0] == f.degree
+    return _is_irreducible(f.field, f.coeff_indices)
 
 
-def _pth_root(f: Polynomial) -> Polynomial:
+def _is_irreducible(field: FieldSpec, f) -> bool:
+    """is_irreducible on the coefficient list of a nonzero polynomial."""
+    return (len(f) > 1 and
+            next(_distinct_degree(field, _monic(field, f)))[0] == len(f) - 1)
+
+
+def _pth_root(field: FieldSpec, f) -> list:
     """Inverse of g -> g^p for f with zero derivative (perfect-field case)."""
-    field = f.field
-    p, k = field.p, field.k
-    cs = f.coeff_indices
-    out = []
-    e = p ** (k - 1)
-    for i in range(0, len(cs), p):
-        out.append(field.pow(cs[i], e))
-    if any(c for i, c in enumerate(cs) if i % p):
+    p = field.p
+    if any(c for i, c in enumerate(f) if i % p):
         raise RuntimeError("not a p-th power")
-    return Polynomial._raw(field, out)
+    e = p ** (field.k - 1)
+    return [field.pow(c, e) for c in f[::p]]
 
 
-def _squarefree_parts(f: Polynomial) -> list:
+def _squarefree_parts(field: FieldSpec, f) -> list:
     """[(monic squarefree part, multiplicity)] for monic f, any degree."""
-    if f.degree < 1:
+    if len(f) < 2:
         return []
-    p = f.field.p
     parts = []
-    c = f.gcd(f.derivative())  # f itself when the derivative vanishes
-    w = f // c
+    c = _gcd(field, f, _derivative(field, f))  # f when the derivative vanishes
+    w = _divmod(field, f, c)[0]
     i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        z = w // y
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _gcd(field, w, c)
+        z = _divmod(field, w, y)[0]
+        if len(z) > 1:
             parts.append((z, i))
         w = y
-        c = c // y
+        c = _divmod(field, c, y)[0]
         i += 1
-    if c.degree > 0:
-        parts.extend((g, m * p) for g, m in _squarefree_parts(_pth_root(c)))
+    if len(c) > 1:
+        p = field.p
+        parts.extend((g, m * p) for g, m in
+                     _squarefree_parts(field, _pth_root(field, c)))
     return parts
 
 
-def _distinct_degree(v: Polynomial):
+def _distinct_degree(field: FieldSpec, v):
     """Yield (d, product of the irreducible factors of degree d) for monic
     squarefree v, d ascending.  For any monic v the first d is deg(v)
     exactly when v is irreducible."""
-    q = v.field.q
-    x = Polynomial.x(v.field)
-    h = x
-    d = 1
-    while 2 * d <= v.degree:
-        h = pow(h, q, v)
-        g = v.gcd(h - x)
-        if g.degree > 0:
-            yield d, g
-            v = v // g
-            h = h % v
-        d += 1
-    if v.degree > 0:
-        yield v.degree, v
-
-
-def _edf_split(u: Polynomial, d: int, rng: random.Random) -> Polynomial:
-    """One proper monic factor of u, a product of >= 2 irreducibles of degree d."""
-    field = u.field
     q = field.q
-    D = u.degree
+    x = h = [0, 1]
+    d = 1
+    while 2 * d < len(v):
+        h = _pow(field, h, q, v)
+        g = _gcd(field, v, _sub(field, h, x))
+        if len(g) > 1:
+            yield d, g
+            v = _divmod(field, v, g)[0]
+            h = _divmod(field, h, v)[1]
+        d += 1
+    if len(v) > 1:
+        yield len(v) - 1, v
+
+
+def _edf_split(field: FieldSpec, u, d: int, rng: random.Random) -> list:
+    """One proper monic factor of u, a product of >= 2 irreducibles of degree d."""
+    q = field.q
+    D = len(u) - 1
     if field.p == 2:
         steps = field.k * d - 1
         while True:
-            r = Polynomial._raw(field, [rng.randrange(q) for _ in range(D)])
-            acc = r % u
+            r = _trim([rng.randrange(q) for _ in range(D)])
+            acc = _divmod(field, r, u)[1]
             cur = acc
             for _ in range(steps):
-                cur = pow(cur, 2, u)
-                acc = acc + cur
-            g = acc.gcd(u)
-            if 0 < g.degree < D:
+                cur = _pow(field, cur, 2, u)
+                acc = _add(field, acc, cur)
+            g = _gcd(field, acc, u)
+            if 1 < len(g) <= D:
                 return g
     else:
         e = (q ** d - 1) // 2
-        one = Polynomial.one(field)
         while True:
-            r = Polynomial._raw(field, [rng.randrange(q) for _ in range(D)])
-            s = pow(r, e, u)
-            g = (s - one).gcd(u)
-            if 0 < g.degree < D:
+            r = _trim([rng.randrange(q) for _ in range(D)])
+            g = _gcd(field, _sub(field, _pow(field, r, e, u), [1]), u)
+            if 1 < len(g) <= D:
                 return g
 
 
-def _equal_degree(prod: Polynomial, d: int, rng: random.Random) -> list:
+def _equal_degree(field: FieldSpec, prod, d: int, rng: random.Random) -> list:
     out = []
-    stack = [prod.monic()]
+    stack = [_monic(field, prod)]
     while stack:
         u = stack.pop()
-        if u.degree == d:
+        if len(u) - 1 == d:
             out.append(u)
             continue
-        g = _edf_split(u, d, rng)
-        stack.append(g.monic())
-        stack.append((u // g).monic())
+        g = _edf_split(field, u, d, rng)
+        stack.append(_monic(field, g))
+        stack.append(_monic(field, _divmod(field, u, g)[0]))
     return out
 
 
@@ -150,17 +152,16 @@ def factorize(g: Polynomial, seed: int = 0) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities."""
     if g.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    lead = g.leading
-    m = g.monic()
+    field = g.field
     rng = random.Random(seed)
     found = []
-    for part, mult in _squarefree_parts(m):
-        for d, prod_d in _distinct_degree(part):
-            for f in _equal_degree(prod_d, d, rng):
-                found.append((f, mult))
+    for part, mult in _squarefree_parts(field, _monic(field, g.coeff_indices)):
+        for d, prod_d in _distinct_degree(field, part):
+            for f in _equal_degree(field, prod_d, d, rng):
+                found.append((Polynomial._raw(field, f), mult))
     found.sort(key=lambda t: t[0].sort_key())
-    fact = Factorization(lead, tuple(found))
-    if fact.expand(g.field) != g:
+    fact = Factorization(g.leading, tuple(found))
+    if fact.expand(field) != g:
         raise RuntimeError("factorization does not reconstruct input")
     return fact
 

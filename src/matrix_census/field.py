@@ -8,7 +8,8 @@ coefficient vector (c_0, ..., c_{k-1}) over GF(p) has index sum(c_i * p**i).
 For an extension field the modulus is the first monic irreducible polynomial
 of degree k in the ascending scan of coefficient vectors, so two constructions
 of GF(p^k) always agree on the representation.  The scan runs the package's
-one irreducibility test, ``factor.is_irreducible``, over GF(p).
+one irreducibility test, Ben-Or's in ``factor``, over GF(p) on bare coefficient
+lists.
 
 Prime fields compute on the indices modulo p.  Every extension field computes
 through log/antilog tables of size O(q) over its primitive element g, the
@@ -189,11 +190,11 @@ def _check_order(p: int, k: int, max_order: int) -> int:
 def _find_modulus(p: int, k: int) -> tuple:
     """First monic irreducible of degree k in the ascending coefficient scan."""
     # imported here because both modules import this one
-    from .factor import is_irreducible
-    from .poly import monic_polys
+    from .factor import _is_irreducible
+    from .poly import _monic_coeffs
     prime = FieldSpec(p, max_order=p)
-    return next(g.coeff_indices for g in monic_polys(prime, k)
-                if is_irreducible(g))
+    return next(tuple(cs) for cs in _monic_coeffs(p, k)
+                if _is_irreducible(prime, cs))
 
 
 class FieldSpec:

@@ -4,11 +4,16 @@ Coefficients are stored as a tuple of element indices, ascending powers, with
 no trailing zeros (the zero polynomial is the empty tuple).  The degree of the
 zero polynomial is the sentinel ``NEG_INF`` so degree comparisons behave in
 arithmetic without a fake -1.
+
+The arithmetic lives in this module's list-level kernel (``_add``, ``_sub``,
+``_mul``, ``_divmod``, ``_gcd``, ``_pow`` and their helpers), which works on
+bare coefficient sequences through the field's bound ops.  ``Polynomial`` is
+the API boundary: its operators check their operands, call the kernel and
+wrap the result.  ``factor`` runs its whole pipeline on the kernel and builds
+``Polynomial`` objects only for its results.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .errors import ParseError
 from .field import FieldSpec, power
@@ -18,26 +23,122 @@ NEG_INF = float("-inf")
 _MAX_PARSE_DEGREE = 1 << 16
 
 
+# The list-level kernel.  A coefficient list is a sequence of element indices,
+# ascending powers, with no trailing zeros, as in Polynomial._c.  Apart from
+# _trim, these functions leave their arguments unchanged; a result may be an
+# argument itself, so callers do not modify results in place either.
+
+
+def _trim(cs: list) -> list:
+    """cs without its trailing zeros, popped in place."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _add(field: FieldSpec, a, b) -> list:
+    add = field.add
+    out = [add(x, y) for x, y in zip(a, b)]
+    n = len(out)
+    out.extend(a[n:])
+    out.extend(b[n:])
+    return _trim(out)
+
+
+def _sub(field: FieldSpec, a, b) -> list:
+    sub = field.sub
+    out = [sub(x, y) for x, y in zip(a, b)]
+    n = len(out)
+    out.extend(a[n:])
+    out.extend(sub(0, y) for y in b[n:])
+    return _trim(out)
+
+
+def _mul(field: FieldSpec, a, b) -> list:
+    """The schoolbook product; over a field it needs no trimming."""
+    if not a or not b:
+        return []
+    add, mul = field.add, field.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] = add(out[i + j], mul(ca, cb))
+    return out
+
+
+def _divmod(field: FieldSpec, a, b) -> tuple:
+    """(quotient, remainder) of a by nonzero b, by long division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], a
+    a = list(a)
+    sub, mul = field.sub, field.mul
+    invlead = field.inv(b[-1])
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = a[i + db]
+        if c:
+            if invlead != 1:
+                c = mul(c, invlead)
+            quot[i] = c
+            for j in range(db):
+                if b[j]:
+                    a[i + j] = sub(a[i + j], mul(c, b[j]))
+    del a[db:]
+    return quot, _trim(a)
+
+
+def _monic(field: FieldSpec, a):
+    """a scaled to leading coefficient 1; a itself when zero or monic."""
+    if not a or a[-1] == 1:
+        return a
+    mul, c = field.mul, field.inv(a[-1])
+    return [mul(x, c) for x in a]
+
+
+def _gcd(field: FieldSpec, a, b):
+    """The monic greatest common divisor, by Euclid (gcd(0, 0) = 0)."""
+    while b:
+        a, b = b, _divmod(field, a, b)[1]
+    return _monic(field, a)
+
+
+def _pow(field: FieldSpec, a, e: int, mod=None) -> list:
+    """a**e by square-and-multiply, reduced modulo mod unless it is None."""
+    if mod is None:
+        return power(lambda u, v: _mul(field, u, v), a, e, [1])
+    if not mod:
+        raise ZeroDivisionError("zero modulus")
+    # every residue modulo a unit is 0, so e = 0 gives 1 % mod as well
+    return power(lambda u, v: _divmod(field, _mul(field, u, v), mod)[1],
+                 _divmod(field, a, mod)[1], e, _divmod(field, [1], mod)[1])
+
+
+def _derivative(field: FieldSpec, a) -> list:
+    mul, p = field.mul, field.p
+    return _trim([mul(c, i % p) for i, c in enumerate(a)][1:])
+
+
 class Polynomial:
     __slots__ = ("field", "_c")
 
     def __init__(self, field: FieldSpec, coeffs=()):
         cs = [field._index(c, "coefficient") for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_c", tuple(cs))
+        object.__setattr__(self, "_c", tuple(_trim(cs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def _raw(cls, field, coeffs: list) -> "Polynomial":
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
         obj = object.__new__(cls)
         object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "_c", tuple(coeffs))
+        object.__setattr__(obj, "_c", tuple(_trim(coeffs)))
         return obj
 
     @classmethod
@@ -84,25 +185,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        add = self.field.add
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Polynomial._raw(self.field, out)
+        return Polynomial._raw(self.field, _add(self.field, self._c, other._c))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        sub = self.field.sub
-        a, b = self._c, other._c
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = sub(out[i], c)
-        return Polynomial._raw(self.field, out)
+        return Polynomial._raw(self.field, _sub(self.field, self._c, other._c))
 
     def __neg__(self):
         neg = self.field.neg
@@ -112,17 +201,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        a, b = self._c, other._c
-        if not a or not b:
-            return Polynomial.zero(self.field)
-        add, mul = self.field.add, self.field.mul
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = add(out[i + j], mul(ca, cb))
-        return Polynomial._raw(self.field, out)
+        return Polynomial._raw(self.field, _mul(self.field, self._c, other._c))
 
     def scale(self, c: int) -> "Polynomial":
         """Multiply by the constant with index c."""
@@ -133,24 +212,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        a, b = list(self._c), other._c
-        db = len(b) - 1
-        if len(a) - 1 < db:
-            return Polynomial.zero(field), Polynomial._raw(field, a)
-        sub, mul = field.sub, field.mul
-        invlead = field.inv(b[-1])
-        quot = [0] * (len(a) - db)
-        for i in range(len(a) - 1 - db, -1, -1):
-            c = mul(a[i + db], invlead)
-            quot[i] = c
-            if c:
-                for j in range(db):
-                    a[i + j] = sub(a[i + j], mul(c, b[j]))
-            a[i + db] = 0
-        return Polynomial._raw(field, quot), Polynomial._raw(field, a)
+        quot, rem = _divmod(self.field, self._c, other._c)
+        return Polynomial._raw(self.field, quot), Polynomial._raw(self.field, rem)
 
     def __floordiv__(self, other):
         r = self.__divmod__(other)
@@ -163,13 +226,10 @@ class Polynomial:
     def __pow__(self, e: int, mod: "Polynomial | None" = None):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        one = Polynomial.one(self.field)
-        if mod is None:
-            return power(operator.mul, self, e, one)
-        self._check(mod)
-        if mod.is_zero:
-            raise ZeroDivisionError("zero modulus")
-        return power(lambda a, b: a * b % mod, self % mod, e, one)
+        if mod is not None:
+            self._check(mod)
+            mod = mod._c
+        return Polynomial._raw(self.field, _pow(self.field, self._c, e, mod))
 
     def __call__(self, x: int) -> int:
         """The value at the element with index x, by Horner."""
@@ -185,23 +245,16 @@ class Polynomial:
         return acc
 
     def monic(self) -> "Polynomial":
-        if self.is_zero or self._c[-1] == 1:
-            return self
-        return self.scale(self.field.inv(self._c[-1]))
+        cs = _monic(self.field, self._c)
+        return self if cs is self._c else Polynomial._raw(self.field, cs)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor (gcd(0, 0) = 0)."""
         self._check(other)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        return Polynomial._raw(self.field, _gcd(self.field, self._c, other._c))
 
     def derivative(self) -> "Polynomial":
-        mul = self.field.mul
-        p = self.field.p
-        out = [mul(c, i % p) for i, c in enumerate(self._c)][1:]
-        return Polynomial._raw(self.field, out)
+        return Polynomial._raw(self.field, _derivative(self.field, self._c))
 
     def sort_key(self):
         """Canonical order: (degree, coefficient indices low power to high)."""
@@ -226,10 +279,12 @@ def monic_polys(field: FieldSpec, degree: int):
     """Yield every monic polynomial of the given degree, in index order."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        yield Polynomial.one(field)
-        return
-    q = field.q
+    for cs in _monic_coeffs(field.q, degree):
+        yield Polynomial._raw(field, cs)
+
+
+def _monic_coeffs(q: int, degree: int):
+    """The coefficient lists of monic_polys over a field of order q."""
     for v in range(q ** degree):
         cs = []
         t = v
@@ -237,7 +292,7 @@ def monic_polys(field: FieldSpec, degree: int):
             cs.append(t % q)
             t //= q
         cs.append(1)
-        yield Polynomial._raw(field, cs)
+        yield cs
 
 
 def format_poly(f: Polynomial) -> str:

@@ -150,3 +150,23 @@ def test_count_satisfies_divisor_sum_identity():
             total = sum(d * mc.count_monic_irreducibles(field, d)
                         for d in range(1, n + 1) if n % d == 0)
             assert total == field.q ** n
+
+
+def test_factorize_and_irreducibility_use_no_polynomial_arithmetic(monkeypatch):
+    rng = make_rng(29)
+    inputs = []
+    for field in (F2, F3, F4, F9):
+        for _ in range(10):
+            g = rand_poly(field, rng.randrange(1, 5), rng, monic=False)
+            h = rand_poly(field, rng.randrange(0, 4), rng)
+            inputs.append(g * h * h)  # often not squarefree
+
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic inside the factorizer")
+
+    for name in ("__mul__", "__divmod__", "__pow__", "gcd"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    for g in inputs:
+        fact = mc.factorize(g)
+        assert fact.degree == g.degree
+        assert mc.is_irreducible(g) == (fact.factors == ((g.monic(), 1),))

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import matrix_census as mc
-from matrix_census.poly import Polynomial
+from matrix_census.poly import Polynomial, _divmod, _mul
 
 from conftest import make_rng, rand_poly
 
@@ -139,6 +139,10 @@ def test_pow_plain_and_modular():
     x = Polynomial.x(F3)
     assert pow(x, 9, m) == x % m
     assert pow(f, 0, m) == Polynomial.one(F3)
+    # every residue modulo a unit is 0, e = 0 included, as pow(3, 0, 1) == 0
+    unit = P(F3, 2)
+    for e in (0, 1, 2):
+        assert pow(x, e, unit).is_zero
     g = P(F3, 2, 0, 0, 1)  # x^3 + 2 = 2x + 2 mod x^2 + 1
     assert pow(g, 1, m) == P(F3, 2, 2)
     with pytest.raises(ValueError):
@@ -282,3 +286,43 @@ def test_mixed_field_arithmetic_rejected():
         P(F2, 1, 1) + P(F3, 1, 1)
     with pytest.raises(TypeError):
         P(F2, 1, 1) + 1
+
+
+def _convolution(field, a, b):
+    """The product of two coefficient lists, one coefficient at a time."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        c = 0
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            c = field.add(c, field.mul(a[i], b[k - i]))
+        out.append(c)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def test_list_kernel_matches_convolution_and_division_invariant():
+    rng = make_rng(23)
+    fields = (F2, F3, F4, F9, mc.make_field(101), mc.make_field(2, 8))
+    for field in fields:
+        for _ in range(40):
+            # random lengths include the empty list, the zero polynomial;
+            # divisors have any nonzero leading coefficient
+            a = rand_poly(field, rng.randrange(9), rng, monic=False) \
+                if rng.randrange(6) else P(field)
+            b = rand_poly(field, rng.randrange(0, 6), rng, monic=False)
+            ac, bc = a.coeff_indices, b.coeff_indices
+            assert _mul(field, ac, bc) == _convolution(field, ac, bc)
+            assert _mul(field, ac, ()) == _mul(field, (), bc) == []
+            quot, rem = _divmod(field, ac, bc)
+            assert len(rem) < len(bc)
+            assert not quot or quot[-1] != 0
+            assert not rem or rem[-1] != 0
+            prod = _convolution(field, quot, bc)
+            recon = [field.add(x, y) for x, y in itertools.zip_longest(
+                prod, rem, fillvalue=0)]
+            while recon and recon[-1] == 0:
+                recon.pop()
+            assert recon == list(ac)
+        with pytest.raises(ZeroDivisionError):
+            _divmod(field, (1,), ())
