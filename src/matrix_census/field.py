@@ -9,7 +9,10 @@ For an extension field the modulus is the first monic irreducible polynomial
 of degree k in the ascending scan of coefficient vectors, so two constructions
 of GF(p^k) always agree on the representation.  The scan runs the package's
 one irreducibility test, Ben-Or's in ``factor``, over GF(p) on bare coefficient
-lists.
+lists.  Over GF(2) the polynomial kernel packs each candidate into one int,
+so Ben-Or's products and reductions are shifts and XORs on whole machine
+words; over an odd p they cost one field operation per coefficient pair.
+Only ``max_order`` bounds the scan.
 
 Prime fields compute on the indices modulo p.  Every extension field computes
 through log/antilog tables of size O(q) over its primitive element g, the

@@ -11,6 +11,15 @@ bare coefficient sequences through the field's bound ops.  ``Polynomial`` is
 the API boundary: its operators check their operands, call the kernel and
 wrap the result.  ``factor`` runs its whole pipeline on the kernel and builds
 ``Polynomial`` objects only for its results.
+
+Over GF(2) the kernel's ``_mul``, ``_divmod``, ``_gcd`` and ``_pow`` pack
+their operands into one Python int, bit i holding the coefficient of x^i,
+and unpack each result once (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 8-9).  In that form a sum is an XOR, a product XORs shifted
+copies of one operand, a square spreads the bits apart, and reduction and
+Euclid are ``a ^= b << s`` loops.  Packing converts only through base 2
+(``int(s, 2)`` and ``bin``), which the int/str digit limit does not cover.
+Every other field runs the coefficient loops.
 """
 
 from __future__ import annotations
@@ -58,6 +67,8 @@ def _mul(field: FieldSpec, a, b) -> list:
     """The schoolbook product; over a field it needs no trimming."""
     if not a or not b:
         return []
+    if field.q == 2:
+        return _unpack(_mul2(_pack(a), _pack(b)))
     add, mul = field.add, field.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -75,6 +86,9 @@ def _divmod(field: FieldSpec, a, b) -> tuple:
     db = len(b) - 1
     if len(a) <= db:
         return [], a
+    if field.q == 2:
+        quot, rem = _divmod2(_pack(a), _pack(b))
+        return _unpack(quot), _unpack(rem)
     a = list(a)
     sub, mul = field.sub, field.mul
     invlead = field.inv(b[-1])
@@ -102,6 +116,11 @@ def _monic(field: FieldSpec, a):
 
 def _gcd(field: FieldSpec, a, b):
     """The monic greatest common divisor, by Euclid (gcd(0, 0) = 0)."""
+    if field.q == 2:
+        a, b = _pack(a), _pack(b)
+        while b:
+            a, b = b, _divmod2(a, b)[1]
+        return _unpack(a)
     while b:
         a, b = b, _divmod(field, a, b)[1]
     return _monic(field, a)
@@ -110,12 +129,56 @@ def _gcd(field: FieldSpec, a, b):
 def _pow(field: FieldSpec, a, e: int, mod=None) -> list:
     """a**e by square-and-multiply, reduced modulo mod unless it is None."""
     if mod is None:
+        if field.q == 2:
+            return _unpack(power(_mul2, _pack(a), e, 1))
         return power(lambda u, v: _mul(field, u, v), a, e, [1])
     if not mod:
         raise ZeroDivisionError("zero modulus")
     # every residue modulo a unit is 0, so e = 0 gives 1 % mod as well
+    if field.q == 2:
+        m = _pack(mod)
+        return _unpack(power(lambda u, v: _divmod2(_mul2(u, v), m)[1],
+                             _divmod2(_pack(a), m)[1], e, _divmod2(1, m)[1]))
     return power(lambda u, v: _divmod(field, _mul(field, u, v), mod)[1],
                  _divmod(field, a, mod)[1], e, _divmod(field, [1], mod)[1])
+
+
+# GF(2) polynomials packed into ints: bit i is the coefficient of x^i.
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(a) -> int:
+    return int(bytes(a[::-1]).translate(_DIGITS), 2) if a else 0
+
+
+def _unpack(x: int) -> list:
+    return list(bin(x)[:1:-1].encode().translate(_BITS)) if x else []
+
+
+def _mul2(x: int, y: int) -> int:
+    """The product of packed x and y: a square spreads the bits of x apart,
+    any other product XORs y shifted to each set bit of the shorter x."""
+    if x == y:
+        return int("0".join(bin(x)[2:]), 2)
+    if x.bit_length() > y.bit_length():
+        x, y = y, x
+    out = 0
+    for i, bit in enumerate(bin(x)[:1:-1]):
+        if bit == "1":
+            out ^= y << i
+    return out
+
+
+def _divmod2(a: int, b: int) -> tuple:
+    """(quotient, remainder) of packed a by nonzero packed b."""
+    db = b.bit_length()
+    quot = 0
+    while (s := a.bit_length() - db) >= 0:
+        quot |= 1 << s
+        a ^= b << s
+    return quot, a
 
 
 def _derivative(field: FieldSpec, a) -> list:

@@ -512,8 +512,10 @@ def test_parser_accepts_every_benchmark_argv(monkeypatch):
 # stdout, stderr and exit code of each invocation, with --repro, recorded
 # from the implementation before a refactor that must not change them: the
 # README examples of all six commands over GF(2), GF(3), GF(9) and GF(256),
-# and one usage, one domain and one budget error.  verify passes --threads 1,
-# its default, which params.threads echoes.
+# one usage, one domain and one budget error, two GF(2) factorizations (a
+# degree-400 trinomial; a degree-70 product with square factors and five
+# irreducibles of degree 10) and the modulus search for GF(2^128).  verify
+# passes --threads 1, its default, which params.threads echoes.
 ENVELOPES = [json.loads(line) for line in (
     Path(__file__).with_name("envelopes.jsonl").read_text().splitlines())]
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import matrix_census as mc
-from matrix_census.poly import Polynomial, _divmod, _mul
+from matrix_census.poly import Polynomial, _divmod, _gcd, _mul, _pow
 
 from conftest import make_rng, rand_poly
 
@@ -326,3 +326,103 @@ def test_list_kernel_matches_convolution_and_division_invariant():
             assert recon == list(ac)
         with pytest.raises(ZeroDivisionError):
             _divmod(field, (1,), ())
+
+
+# A schoolbook oracle for GF(2)[x] on 0/1 coefficient lists, one XOR per
+# coefficient pair: the reference for the kernel's packed GF(2) path.
+
+def _trimmed(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _school_mul2(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] ^= y
+    return _trimmed(out)
+
+
+def _school_divmod2(a, b):
+    rem, db = list(a), len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        if rem[i + db]:
+            quot[i] = 1
+            for j, y in enumerate(b):
+                rem[i + j] ^= y
+    return _trimmed(quot), _trimmed(rem[:db])
+
+
+def _school_gcd2(a, b):
+    while b:
+        a, b = b, _school_divmod2(a, b)[1]
+    return list(a)
+
+
+def _school_pow2(a, e, mod=None):
+    out = [1] if mod is None else _school_divmod2([1], mod)[1]
+    for _ in range(e):
+        out = _school_mul2(out, a)
+        if mod is not None:
+            out = _school_divmod2(out, mod)[1]
+    return out
+
+
+def _rand2(rng, top):
+    """A random GF(2) coefficient list of degree 0..top, or zero."""
+    if not rng.randrange(8):
+        return []
+    return [rng.randrange(2) for _ in range(rng.randrange(top + 1))] + [1]
+
+
+def test_gf2_kernel_matches_schoolbook_oracle():
+    rng = make_rng(31)
+    for trial in range(60):
+        a, b = _rand2(rng, 300), _rand2(rng, 300)
+        # the same list twice takes the kernel's squaring path
+        c = a if trial % 5 == 0 else _rand2(rng, 300)
+        args = [list(a), tuple(b), list(c)]
+        assert _mul(F2, a, c) == _school_mul2(a, c)
+        assert _gcd(F2, a, b) == _school_gcd2(a, b)
+        if b:
+            assert _divmod(F2, a, b) == _school_divmod2(a, b)
+        e = rng.randrange(4)
+        assert _pow(F2, a[:80], e) == _school_pow2(a[:80], e)
+        if b:
+            e = rng.randrange(12)
+            assert _pow(F2, a, e, b) == _school_pow2(a, e, b)
+        # no kernel function changes its arguments
+        assert args == [a, tuple(b), c]
+
+
+def test_gf2_kernel_edge_cases():
+    x5 = [1] + [0] * 4999 + [1]  # x^5000 + 1
+    x10 = [1] + [0] * 9999 + [1]
+    # 10001 coefficients is past the 4300-digit int/str limit; base-2
+    # conversion is not subject to it
+    assert _mul(F2, x5, x5) == _pow(F2, x5, 2) == x10
+    y = [1, 1] + [0] * 4998 + [1]  # x^5000 + x + 1
+    assert _mul(F2, x5, y) == _school_mul2(x5, y)
+    assert _divmod(F2, x10, x5) == (x5, [])
+    assert _gcd(F2, x10, x5) == x5
+    assert _pow(F2, [0, 1], 10000, x5) == [1]  # x^10000 = 1 mod x^5000 + 1
+    one, x = [1], [0, 1]
+    assert _pow(F2, [], 0) == one and _pow(F2, [], 3) == []
+    assert _pow(F2, [], 2, x) == []
+    for a in ([], one, x):
+        assert _mul(F2, a, []) == _mul(F2, [], a) == []
+        assert _gcd(F2, a, []) == _gcd(F2, [], a) == a
+        assert _pow(F2, a, 0, [1, 1]) == one
+        # every residue modulo a unit is 0, e = 0 included
+        for e in (0, 1, 2):
+            assert _pow(F2, a, e, one) == []
+        with pytest.raises(ZeroDivisionError):
+            _divmod(F2, a, [])
+        with pytest.raises(ZeroDivisionError):
+            _pow(F2, a, 2, [])
+    for b in (one, x, x10):
+        assert _divmod(F2, [], b) == ([], [])
