@@ -1,12 +1,10 @@
 """Centralizer algebras C(M) = {X : MX = XM} and their unit groups.
 
-The centralizer's basis is computed as the kernel of the commutator map, an
-n^2 by n^2 linear system, in deterministic echelon form.  Its invariants need
-no such solve.  Whether C(M) = F[M] is read from the degree of the minimal
-polynomial.  Units are counted by closed forms: q^n - 1 when the
-characteristic polynomial is irreducible (the centralizer is then a field),
-and otherwise Green's product over the (irreducible, exponent) pairs that
-``rcf`` records for its blocks, built from ``gl_order``.  The unit-count
+Everything is read off one ``rcf``: the basis from its blocks and transition
+(Gantmacher, *The Theory of Matrices* I, ch. VIII), the dimension and units
+from Green's closed form over the (irreducible, exponent) pairs it records
+for its blocks, built from ``gl_order``.  When the characteristic polynomial
+is irreducible, C(M) is the field F[M] with q^n - 1 units.  The unit-count
 budget caps the reported |C(M)| and bounds no work.
 """
 
@@ -17,10 +15,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .canonical import rcf
+from .canonical import _krylov_columns, rcf
 from .errors import within_budget
 from .factor import is_irreducible
-from .matrix import SquareMatrix, nullspace
+from .matrix import SquareMatrix, poly_times_vector, row_echelon
 
 DEFAULT_SPAN_BUDGET = 2 ** 20
 
@@ -30,30 +28,51 @@ class CentralizerDescription:
     basis: tuple  # SquareMatrix tuple, echelonized over the n^2 coordinates
     dimension: int
     order: int
+    unit_count: int
 
 
 def centralizer(M: SquareMatrix) -> CentralizerDescription:
-    """Solve MX - XM = 0; the solution space as an echelonized basis."""
-    field = M.field
-    n = M.n
-    n2 = n * n
-    add, sub = field.add, field.sub
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * n2
-            for k in range(n):
-                c = M.entry_index(i, k)
-                if c:
-                    row[k * n + j] = add(row[k * n + j], c)
-                c = M.entry_index(k, j)
-                if c:
-                    row[i * n + k] = sub(row[i * n + k], c)
-            rows.append(row)
-    basis = nullspace(field, rows, n2)
-    mats = tuple(SquareMatrix._raw(field, n, v) for v in basis)
-    d = len(mats)
-    return CentralizerDescription(mats, d, field.q ** d)
+    """C(M) from one rcf: its basis, dimension, order and unit count.
+
+    With blocks b_i and P^-1 M P = D, C(M) = P C(D) P^-1.  Block (j, i) of
+    an element of C(D) is a map of F[x]-modules F[x]/(b_i) -> F[x]/(b_j);
+    it sends 1 to a multiple of b_j / g, g = gcd(b_i, b_j), so the maps
+    1 -> x^t b_j / g, t < deg g, span them, and column k of one is
+    x^(t+k) b_j / g mod b_j.  Times P that column is M^(t+k) (b_j / g)(M)
+    u_j, for u_j the first column of block j in P.  Echelonized with the
+    n^2 coordinates reversed, the conjugates give the one reduced echelon
+    basis with their pivots: the kernel basis of X -> MX - XM, listed by
+    free coordinate.
+    """
+    field, n = M.field, M.n
+    form = rcf(M)
+    d, units = _green(field.q, form.prime_powers)
+    P = form.transition
+    Pinv = P.invert()
+    offsets = list(itertools.accumulate(
+        (b.degree for b in form.blocks), initial=0))
+    vecs = []
+    for (f, ej), oj in zip(form.prime_powers, offsets):
+        uj = P.flat_indices[oj::n]
+        for (fi, ei), oi in zip(form.prime_powers, offsets):
+            if fi != f:  # coprime blocks: g = 1
+                continue
+            m = min(ei, ej)
+            cols = _krylov_columns(M, poly_times_vector(f ** (ej - m), M, uj),
+                                   f.degree * (m + ei) - 1)
+            for t in range(f.degree * m):
+                Z = [0] * (n * n)  # P times the map: block i's columns
+                for k, col in enumerate(cols[t:t + f.degree * ei], oi):
+                    Z[k::n] = col
+                vecs.append(
+                    (SquareMatrix._raw(field, n, Z) * Pinv).flat_indices[::-1])
+    rref, pivots = row_echelon(field, vecs)
+    if not len(pivots) == len(vecs) == d:
+        raise RuntimeError(
+            f"centralizer basis of rank {len(pivots)} from {len(vecs)} "
+            f"conjugates, not Green's dimension {d}")
+    basis = tuple(SquareMatrix._raw(field, n, v[::-1]) for v in reversed(rref))
+    return CentralizerDescription(basis, d, field.q ** d, units)
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,27 +90,21 @@ def gl_order(q: int, n: int) -> int:
     return out
 
 
-def centralizer_unit_count(M: SquareMatrix, *,
-                           budget: int = DEFAULT_SPAN_BUDGET) -> int:
-    """Number of invertible elements of C(M).
+def _green(q: int, prime_powers) -> tuple:
+    """(dim C(M), number of units of C(M)) from rcf(M).prime_powers.
 
-    q^n - 1 when charpoly(M) is irreducible, as C(M) is then a field.
-    Otherwise C(M) splits over the monic irreducibles f dividing the
-    charpoly.  With Q = q^deg f, the exponents of M's elementary divisors
-    f^e forming the partition lambda, S = sum of min(a, b) over pairs of
-    parts and m_i the number of parts equal to i, the units at f number
+    C(M) splits over the monic irreducibles f dividing the charpoly.  With
+    Q = q^deg f, the exponents of M's elementary divisors f^e forming the
+    partition lambda, S = sum of min(a, b) over pairs of parts and m_i the
+    number of parts equal to i, the units at f number
     Q^(S - sum_i m_i^2) * prod_i |GL_{m_i}(Q)| (Green, Trans. AMS 80,
     1955; Macdonald, *Symmetric Functions and Hall Polynomials*, ch. IV),
-    and dim C(M) = sum_f deg f * S (Frobenius).  The pairs (f, e) are
-    rcf(M).prime_powers, where the pairs of one f are adjacent.  The count
-    is refused when |C(M)| = q^dim exceeds the budget.
+    and dim C(M) = sum_f deg f * S (Frobenius).  The pairs of one f are
+    adjacent in prime_powers.
     """
-    q = M.field.q
-    if is_irreducible(M.charpoly()):
-        return q ** M.n - 1
     d = 0
     units = 1
-    for f, pairs in itertools.groupby(rcf(M).prime_powers, lambda p: p[0]):
+    for f, pairs in itertools.groupby(prime_powers, lambda p: p[0]):
         lam = [e for _, e in pairs]
         Q = q ** f.degree
         s = sum(min(a, b) for a in lam for b in lam)
@@ -100,6 +113,21 @@ def centralizer_unit_count(M: SquareMatrix, *,
         units *= Q ** (s - sum(m * m for m in mults))
         for m in mults:
             units *= gl_order(Q, m)
+    return d, units
+
+
+def centralizer_unit_count(M: SquareMatrix, *,
+                           budget: int = DEFAULT_SPAN_BUDGET) -> int:
+    """Number of invertible elements of C(M).
+
+    q^n - 1 when charpoly(M) is irreducible, as C(M) is then a field, and
+    otherwise Green's closed form over the rcf blocks (``_green``).  The
+    count is refused when |C(M)| = q^dim exceeds the budget.
+    """
+    q = M.field.q
+    if is_irreducible(M.charpoly()):
+        return q ** M.n - 1
+    d, units = _green(q, rcf(M).prime_powers)
     within_budget(q, d, budget,
                   "centralizer span of size {} exceeds the budget {}")
     return units

@@ -21,8 +21,7 @@ import sys
 import time
 
 from .canonical import rcf
-from .centralizer import (DEFAULT_SPAN_BUDGET, centralizer,
-                          centralizer_unit_count, is_polynomial_centralizer)
+from .centralizer import DEFAULT_SPAN_BUDGET, centralizer
 from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
                      census_bruteforce, count_irreducible_case,
                      orbit_stabilizer_report, verify_partition)
@@ -276,16 +275,16 @@ def _cmd_centralizer(args):
     M, params = _matrix_input(args)
     params["budget"] = args.budget
     desc = centralizer(M)
-    try:
-        units = centralizer_unit_count(M, budget=args.budget)
-    except BudgetError:
-        units = None
+    # C(M) is a field exactly when every nonzero element is a unit; only a
+    # centralizer that is not one has its unit count capped by --budget
+    is_field = desc.unit_count == desc.order - 1
     result = {
         "dimension": desc.dimension,
         "order": _decimal(desc.order),
         "basis": [format_matrix(b) for b in desc.basis],
-        "unit_count": None if units is None else _decimal(units),
-        "is_polynomial_centralizer": is_polynomial_centralizer(M),
+        "unit_count": (None if not is_field and desc.order > args.budget
+                       else _decimal(desc.unit_count)),
+        "is_polynomial_centralizer": desc.dimension == M.n,
     }
     return params, result, None
 
@@ -347,6 +346,9 @@ def run(argv=None) -> int:
             args = _PARSER.parse_args(argv)
         except SystemExit as exc:  # argparse -h or similar
             return int(exc.code or 0)
+        for flag in ("--budget", "--field-budget"):
+            if getattr(args, flag[2:].replace("-", "_"), 0) < 0:
+                raise _UsageError(f"{flag} must be a nonnegative integer")
         # every handler returns the envelope's params and result, and text
         # to print in its place or None; a failed check exits 1
         params, result, text = args.handler(args)

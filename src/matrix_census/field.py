@@ -86,8 +86,11 @@ def _ints(n: int):
 def _shift_ops(p: int, k: int, modulus: tuple):
     """(xtime, mul) on element indices of GF(p)[x]/(modulus), for building
     the log tables: xtime(a) = x * a costs O(1) integer operations per
-    nonzero low coefficient of the modulus; mul(a, b) is shift and add over
-    the base-p digits of b, O(k) work per digit."""
+    nonzero low coefficient of the modulus; mul(a, b) is the polynomial
+    kernel's product and remainder, on the packed int itself over GF(2)
+    and on the base-p digits otherwise."""
+    # imported here because poly imports this module
+    from .poly import _divmod, _divmod2, _mul, _mul2, _trim
     if p == 2:
         top = 1 << k
         red = sum(c << i for i, c in enumerate(modulus))
@@ -96,19 +99,11 @@ def _shift_ops(p: int, k: int, modulus: tuple):
             a <<= 1
             return a ^ red if a & top else a
 
-        def mul(a, b):
-            r = 0
-            for bit in bin(b)[2:]:
-                r = xtime(r)
-                if bit == "1":
-                    r ^= a
-            return r
+        return xtime, lambda a, b: _divmod2(_mul2(a, b), red)[1]
 
-        return xtime, mul
-
-    low = modulus[:k]
+    prime = FieldSpec(p, max_order=p)
     weights = [p ** i for i in range(k)]
-    terms = [(weights[i], m) for i, m in enumerate(low) if m]
+    terms = [(weights[i], m) for i, m in enumerate(modulus[:k]) if m]
 
     def xtime(a):
         top, a = divmod(a, weights[-1])
@@ -120,18 +115,9 @@ def _shift_ops(p: int, k: int, modulus: tuple):
         return a
 
     def mul(a, b):
-        ca = [a // w % p for w in weights]
-        r = [0] * k
-        while b:
-            b, d = divmod(b, p)
-            if d:
-                r = [(x + d * y) % p for x, y in zip(r, ca)]
-            if b:  # ca *= x
-                c = ca[-1]
-                ca = [0] + ca[:-1]
-                if c:
-                    ca = [(y - c * m) % p for y, m in zip(ca, low)]
-        return sum(map(operator.mul, r, weights))
+        a, b = (_trim([c // w % p for w in weights]) for c in (a, b))
+        rem = _divmod(prime, _mul(prime, a, b), modulus)[1]
+        return sum(map(operator.mul, rem, weights))
 
     return xtime, mul
 

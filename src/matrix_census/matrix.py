@@ -5,10 +5,9 @@ characteristic polynomial is computed by the division-free Berkowitz
 recurrence, so it is exact for every field size; the determinant is recovered
 from it as (-1)^n * charpoly(0).
 
-``row_echelon`` and ``nullspace`` are module-level helpers on plain lists of
-row vectors (used by the centralizer solver and the canonical form);
-pivoting always picks the first row with a nonzero entry, so every reduced
-form and every kernel basis is deterministic.
+``row_echelon`` is a module-level helper on plain lists of row vectors (used
+by the canonical form and the centralizer basis); pivoting always picks the
+first row with a nonzero entry, so every reduced form is deterministic.
 """
 
 from __future__ import annotations
@@ -348,24 +347,6 @@ def _solve(field: FieldSpec, a_rows, b_rows):
     if pivots != list(range(m)):
         return None
     return [row[m:] for row in rref]
-
-
-def nullspace(field: FieldSpec, rows, ncols: int):
-    """Deterministic echelonized basis of {v : R v = 0} for the given rows."""
-    rref, pivots = row_echelon(field, rows)
-    neg = field.neg
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        v = [0] * ncols
-        v[j] = 1
-        for r, pc in enumerate(pivots):
-            if rref[r][j]:
-                v[pc] = neg(rref[r][j])
-        basis.append(tuple(v))
-    return basis
 
 
 def evaluate_poly(f: Polynomial, M: SquareMatrix) -> SquareMatrix:

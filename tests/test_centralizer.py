@@ -1,9 +1,14 @@
 """Centralizer algebras and their unit groups, cross-checked against
-whole-space enumeration where feasible; and, through test-side oracles, the
-subspace counts and invariant subspaces behind the paper's hypothesis."""
+whole-space enumeration where feasible and against the commutator solve, an
+n^2 by n^2 kernel kept here as the oracle; and, through test-side oracles,
+the subspace counts and invariant subspaces behind the paper's hypothesis."""
 
 import importlib
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -29,13 +34,62 @@ def _enumerate_commuting(M):
     return [X for X in all_matrices(M.field, M.n) if X * M == M * X]
 
 
+def nullspace(field, rows, ncols):
+    """Deterministic echelonized basis of {v : R v = 0} for the given rows:
+    one vector per free column of R's reduced echelon form, in ascending
+    order, 1 there and 0 at every other free column."""
+    rref, pivots = row_echelon(field, rows)
+    neg = field.neg
+    pivot_set = set(pivots)
+    basis = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        v = [0] * ncols
+        v[j] = 1
+        for r, pc in enumerate(pivots):
+            if rref[r][j]:
+                v[pc] = neg(rref[r][j])
+        basis.append(tuple(v))
+    return basis
+
+
+def commutator_kernel(M):
+    """The kernel of X -> MX - XM, an n^2 by n^2 system, by nullspace: the
+    oracle for mc.centralizer's basis, flat row-major tuples."""
+    field = M.field
+    n = M.n
+    n2 = n * n
+    add, sub = field.add, field.sub
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * n2
+            for k in range(n):
+                c = M.entry_index(i, k)
+                if c:
+                    row[k * n + j] = add(row[k * n + j], c)
+                c = M.entry_index(k, j)
+                if c:
+                    row[i * n + k] = sub(row[i * n + k], c)
+            rows.append(row)
+    return nullspace(field, rows, n2)
+
+
+def _gcd_dimension(M):
+    """sum over pairs of rcf blocks of deg gcd(b_i, b_j), the dimension of
+    C(M) (Frobenius)."""
+    blocks = mc.rcf(M).blocks
+    return sum(a.gcd(b).degree for a in blocks for b in blocks)
+
+
 def _span_unit_count(M):
     """Units of C(M) by walking its whole span: sum_j c_j * B_j over every
-    c in GF(q)^d, with B the centralizer basis, each tested for full rank.
-    The oracle for the closed form of centralizer_unit_count."""
+    c in GF(q)^d, with B the commutator kernel's basis, each tested for full
+    rank.  The oracle for Green's closed form."""
     field, n = M.field, M.n
     add, mul = field.add, field.mul
-    basis = [B.flat_indices for B in mc.centralizer(M).basis]
+    basis = commutator_kernel(M)
     units = 0
     for c in itertools.product(range(field.q), repeat=len(basis)):
         flat = [0] * (n * n)
@@ -170,7 +224,83 @@ def test_unit_count_fast_path_matches_enumeration():
 def test_unit_count_matches_span_walk_on_every_small_matrix():
     for field, n in ((F2, 2), (F3, 2), (F4, 2), (F2, 3)):
         for M in all_matrices(field, n):
-            assert mc.centralizer_unit_count(M) == _span_unit_count(M), M
+            units = _span_unit_count(M)
+            assert mc.centralizer_unit_count(M) == units, M
+            assert mc.centralizer(M).unit_count == units, M
+
+
+def test_centralizer_basis_is_the_commutator_kernel_on_every_small_matrix():
+    # byte for byte: the basis the envelope prints is the solve's
+    for field, n in ((F2, 2), (F3, 2), (F4, 2), (F2, 3)):
+        for M in all_matrices(field, n):
+            desc = mc.centralizer(M)
+            assert [B.flat_indices for B in desc.basis] == \
+                commutator_kernel(M), M
+            assert desc.dimension == _gcd_dimension(M), M
+
+
+def test_centralizer_basis_is_the_commutator_kernel_on_larger_matrices():
+    rng = make_rng(7)
+    for field, n in ((mc.make_field(5), 6), (F9, 5), (F2, 8)):
+        for M in (rand_matrix(field, n, rng), mc.SquareMatrix.zero(field, n),
+                  mc.SquareMatrix.scalar(field, n, 2)):
+            desc = mc.centralizer(M)
+            assert [B.flat_indices for B in desc.basis] == \
+                commutator_kernel(M), M
+            assert desc.dimension == _gcd_dimension(M), M
+
+
+def test_centralizer_of_a_random_30x30_matrix():
+    # the commutator solve takes about 20 s here; the rcf route well under 1
+    rng = make_rng(1)
+    M = M_(F2, [[rng.randrange(2) for _ in range(30)] for _ in range(30)])
+    desc = mc.centralizer(M)
+    assert desc.dimension == len(desc.basis) == _gcd_dimension(M)
+    for B in desc.basis:
+        assert B * M == M * B
+    assert desc.unit_count == mc.centralizer_unit_count(
+        M, budget=2 ** desc.dimension)
+
+
+def test_centralizer_basis_checks_survive_optimize():
+    # assert statements vanish under -O; the rank and dimension check must
+    # not: a wrong Green dimension, then conjugates that are all zero
+    script = textwrap.dedent("""
+        import importlib
+        import sys
+        import matrix_census as mc
+
+        cz = importlib.import_module("matrix_census.centralizer")
+
+        if __debug__:
+            sys.exit("not running under -O")
+        M = mc.parse_matrix("1,0;0,1", mc.make_field(2))
+        real_green = cz._green
+        cz._green = lambda q, pp: (5, 6)
+        try:
+            cz.centralizer(M)
+        except RuntimeError as exc:
+            print(exc)
+        cz._green = real_green
+        cz.poly_times_vector = lambda f, M, v: (0,) * len(v)
+        try:
+            cz.centralizer(M)
+        except RuntimeError as exc:
+            print(exc)
+    """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "centralizer basis of rank 4 from 4 conjugates, not Green's "
+        "dimension 5",
+        "centralizer basis of rank 0 from 4 conjugates, not Green's "
+        "dimension 4"]
 
 
 def test_unit_count_matches_span_walk_over_gf8_and_gf9():
@@ -208,7 +338,7 @@ def test_unit_count_dimension_matches_commutator_solve():
     for M in cases:
         if mc.is_irreducible(M.charpoly()):
             continue
-        q, d = M.field.q, mc.centralizer(M).dimension
+        q, d = M.field.q, len(commutator_kernel(M))
         mc.centralizer_unit_count(M, budget=q ** d)
         with pytest.raises(BudgetError):
             mc.centralizer_unit_count(M, budget=q ** d - 1)
@@ -279,7 +409,7 @@ def test_is_polynomial_centralizer_solves_no_commutator_system(monkeypatch):
     rng = make_rng(1)
     cases.append(
         M_(F2, [[rng.randrange(2) for _ in range(20)] for _ in range(20)]))
-    expected = [mc.centralizer(M).dimension == M.minpoly().degree
+    expected = [len(commutator_kernel(M)) == M.minpoly().degree
                 for M in cases]
     assert expected[-1] and expected[-5:-1] == [False] * 4
 
@@ -413,3 +543,31 @@ def test_centralizer_span_is_field_when_charpoly_irreducible():
             if any(coeffs):
                 assert X.det() != 0
         assert mc.centralizer_unit_count(M) == desc.order - 1
+
+
+def test_rank_kernel_and_nullspace():
+    rng = make_rng(29)
+    for field, n in ((F2, 3), (F3, 3), (F4, 2), (F2, 5)):
+        for _ in range(15):
+            A = rand_matrix(field, n, rng)
+            rows = [A.flat_indices[i * n:(i + 1) * n] for i in range(n)]
+            rank = len(row_echelon(field, rows)[1])
+            kernel = nullspace(field, rows, n)
+            assert rank + len(kernel) == n
+            assert (rank == n) == (A.det() != 0)
+            for v in kernel:
+                assert A.apply(v) == (0,) * n
+            # kernel vectors are linearly independent
+            rows, pivots = row_echelon(field, [list(v) for v in kernel])
+            live = [r for r in rows if any(r)]
+            assert len(live) == len(kernel)
+
+
+def test_nullspace_function():
+    # one relation: columns 0 and 1 sum to column 2
+    rows = [[1, 1, 1], [0, 1, 1]]
+    basis = nullspace(F2, rows, 3)
+    assert len(basis) == 1
+    v = basis[0]
+    for row in rows:
+        assert sum(a * b for a, b in zip(row, v)) % 2 == 0

@@ -277,6 +277,27 @@ def test_centralizer_unit_count_over_extension_fields(capsys):
         assert doc["result"]["unit_count"] == units
 
 
+def test_centralizer_command_runs_one_rcf(capsys, monkeypatch):
+    # every field of the result is read off one rcf, for a reducible and an
+    # irreducible charpoly alike
+    centralizer_mod = importlib.import_module("matrix_census.centralizer")
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return mc.rcf(M)
+
+    monkeypatch.setattr(centralizer_mod, "rcf", counted)
+    monkeypatch.setattr(cli, "rcf", counted)
+    for matrix, units in (("1,0,0;0,1,0;0,0,2", "96"),
+                          ("0,0,2;1,0,1;0,1,0", "26")):  # x^3+2*x+1
+        calls.clear()
+        code, doc = run_json(capsys, "centralizer", "--q", "3",
+                             "--matrix", matrix)
+        assert code == 0 and doc["result"]["unit_count"] == units
+        assert len(calls) == 1
+
+
 def test_factor_command(capsys):
     code, doc = run_json(capsys, "factor", "--q", "2",
                          "--poly", "x^4+x^2+1")
@@ -332,6 +353,16 @@ def test_usage_errors(capsys):
         ("count", "--q", "0", "--n", "2"),
         ("count", "--q", "-4", "--n", "2"),
         ("count", "--q", "2", "--k", "0", "--n", "2"),
+        # a negative budget, on each command that takes one
+        ("verify", "--q", "2", "--n", "2", "--budget", "-5"),
+        ("centralizer", "--q", "2", "--matrix", "1,0;0,1", "--budget", "-1"),
+        ("count", "--q", "2", "--n", "2", "--field-budget", "-1"),
+        ("verify", "--q", "2", "--n", "2", "--field-budget", "-1"),
+        ("rcf", "--q", "2", "--matrix", "0,1;1,1", "--field-budget", "-1"),
+        ("centralizer", "--q", "2", "--matrix", "0,1;1,1",
+         "--field-budget", "-1"),
+        ("factor", "--q", "2", "--poly", "x^2", "--field-budget", "-1"),
+        ("orbit", "--q", "2", "--matrix", "0,1;1,1", "--field-budget", "-1"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

@@ -6,8 +6,7 @@ import pytest
 
 import matrix_census as mc
 from matrix_census.errors import SingularMatrixError
-from matrix_census.matrix import (_berkowitz_step, _krylov, nullspace,
-                                  row_echelon)
+from matrix_census.matrix import _berkowitz_step, _krylov, row_echelon
 from matrix_census.poly import Polynomial
 
 from conftest import (all_matrices, charpoly_by_cofactors, make_rng,
@@ -192,24 +191,6 @@ def test_det_multiplicative_and_matches_cofactors():
     assert M_(F3, [[2]]).det() == 2
 
 
-def test_rank_kernel_and_nullspace():
-    rng = make_rng(29)
-    for field, n in ((F2, 3), (F3, 3), (F4, 2), (F2, 5)):
-        for _ in range(15):
-            A = rand_matrix(field, n, rng)
-            rows = [A.flat_indices[i * n:(i + 1) * n] for i in range(n)]
-            rank = len(row_echelon(field, rows)[1])
-            kernel = nullspace(field, rows, n)
-            assert rank + len(kernel) == n
-            assert (rank == n) == (A.det() != 0)
-            for v in kernel:
-                assert A.apply(v) == (0,) * n
-            # kernel vectors are linearly independent
-            rows, pivots = row_echelon(field, [list(v) for v in kernel])
-            live = [r for r in rows if any(r)]
-            assert len(live) == len(kernel)
-
-
 def test_row_echelon_shape():
     rng = make_rng(31)
     for field in (F2, F3, F9):
@@ -226,16 +207,6 @@ def test_row_echelon_shape():
             # re-reducing is a fixed point
             again, pivots2 = row_echelon(field, red)
             assert again == red and pivots2 == pivots
-
-
-def test_nullspace_function():
-    # one relation: columns 0 and 1 sum to column 2
-    rows = [[1, 1, 1], [0, 1, 1]]
-    basis = nullspace(F2, rows, 3)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) % 2 == 0
 
 
 def test_invert_round_trip_and_singular():
