@@ -3,10 +3,11 @@
 ``rcf`` decomposes the space into cyclic pieces, each generated by a vector
 of maximal order modulo the part already captured: a sum of prime-power parts
 cut from the basis vectors, corrected so the new piece meets the old ones
-trivially.  Each cyclic piece is split into prime-power blocks, sorted by
-(irreducible base in canonical polynomial order, descending exponent), so two
-matrices are similar exactly when their block lists are equal.  The
-(base, exponent) pair of each block is kept alongside, in the same order.
+trivially, with every such vector combined from Krylov vectors in hand.  Each
+cyclic piece is split into prime-power blocks, sorted by (irreducible base in
+canonical polynomial order, descending exponent), so two matrices are similar
+exactly when their block lists are equal.  The (base, exponent) pair of each
+block is kept alongside, in the same order.
 
 The transition matrix P always satisfies P^-1 M P = block diagonal of
 companion matrices; rcf re-checks this identity on every call.
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 from .factor import factorize
 from .field import FieldSpec
-from .matrix import (SquareMatrix, _basis_conductors, _conductor, _solve,
-                     poly_times_vector, row_echelon)
+from .matrix import (SquareMatrix, _basis_conductors, _combine, _conductor,
+                     _krylov, _solve, _vector, row_echelon)
 from .poly import Polynomial
 
 
@@ -65,34 +66,26 @@ def companion_block_diagonal(field: FieldSpec, blocks) -> SquareMatrix:
 
 def vector_order(M: SquareMatrix, v) -> Polynomial:
     """Monic generator of the annihilator {f : f(M) v = 0}."""
-    return _conductor(M, v, [], [])
+    return _conductor(M, _vector(M, v), [], [])[0]
 
 
-def _krylov_columns(M, v, d: int) -> list:
-    """[v, M v, ..., M^(d-1) v] for d >= 1, as lists."""
-    cols = [list(v)]
-    for _ in range(d - 1):
-        cols.append(list(M.apply(cols[-1])))
-    return cols
-
-
-def _maximal_vector(M, wrref, wpivots, cap):
+def _maximal_vector(M, wrref, wpivots):
     """(v, f, factorize(f)), f the order of M on the quotient by span(W) and
     v of conductor f there.  Each prime power of f is owned by the first e_i
     whose conductor c_i it divides; e_i adds (c_i / what it owns)(M) e_i, and
     parts of coprime conductors sum to one of conductor their product."""
     field = M.field
-    conds, f = _basis_conductors(M, wrref, wpivots, cap)
+    conds, f = _basis_conductors(M, wrref, wpivots)
     fact = factorize(f)
     owned = [Polynomial.one(field)] * len(conds)
     for base, e in fact.factors:
         ppow = base ** e
-        i = next(i for i, (_, c) in enumerate(conds) if (c % ppow).is_zero)
+        i = next(i for i, (c, _) in enumerate(conds) if (c % ppow).is_zero)
         owned[i] = owned[i] * ppow
     v = [0] * M.n
-    for (e_i, c), own in zip(conds, owned):
+    for (c, ks), own in zip(conds, owned):
         if own.degree:
-            part = poly_times_vector(c // own, M, e_i)
+            part = _combine(field, ks, (c // own).coeff_indices)
             v = [field.add(x, y) for x, y in zip(v, part)]
     return v, f, fact
 
@@ -102,18 +95,19 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
     P^-1 M P their block diagonal.  Maximal vectors are built as in
     Giesbrecht, *Nearly optimal algorithms for canonical matrix forms*
     (SIAM J. Comput. 24, 1995): polynomially many field operations."""
-    field = M.field
-    n = M.n
-    gens = []          # (generator vector, invariant factor, its factorization)
+    field, n = M.field, M.n
+    gens = []          # (v, M v, ..., M^d v; degree-d factor; factorization)
     wcols = []         # Krylov columns of the captured generators
     wrref, wpivots = [], []
 
     while len(wcols) < n:
-        v, f, fact = _maximal_vector(M, wrref, wpivots, n - len(wcols))
+        v, f, fact = _maximal_vector(M, wrref, wpivots)
+        d = f.degree
+        ks = _krylov(field.add, field.mul, M.flat_indices, n, v, d + 1)
 
         # express f(M) v over the captured columns and correct v so that
         # f(M) v = 0 exactly; v keeps its order f modulo span(W)
-        u = poly_times_vector(f, M, v)
+        u = _combine(field, ks, f.coeff_indices)
         if any(u):
             # W's columns are independent (checked below), so None means
             # that u lies outside their span
@@ -123,41 +117,37 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
                 raise RuntimeError(
                     "conductor image escaped the captured space")
             pos = 0
-            for gv, gf, _ in gens:
-                d = gf.degree
-                gpoly = Polynomial._raw(field, [r[0] for r in a[pos:pos + d]])
-                pos += d
+            for gks, gf, _ in gens:
+                gd = gf.degree
+                gpoly = Polynomial._raw(field, [r[0] for r in a[pos:pos + gd]])
+                pos += gd
                 quo, rem = divmod(gpoly, f)
                 if not rem.is_zero:
                     raise RuntimeError("maximal-conductor invariant violated")
-                corr = poly_times_vector(quo, M, gv)
+                corr = _combine(field, gks, quo.coeff_indices)
                 v = [field.sub(x, y) for x, y in zip(v, corr)]
+            ks = _krylov(field.add, field.mul, M.flat_indices, n, v, d + 1)
 
-        gens.append((v, f, fact))
-        wcols.extend(_krylov_columns(M, v, f.degree))
+        gens.append((ks, f, fact))
+        wcols.extend(ks[:d])
         wrref, wpivots = row_echelon(field, wcols)
         if len(wpivots) != len(wcols):
             raise RuntimeError("cyclic pieces are not independent")
 
-    # split each invariant factor into prime-power blocks
+    # split each invariant factor g into prime-power blocks; block f^e's
+    # columns M^s (g / f^e)(M) v, s < deg f^e, have degree below deg g in M
     records = []
-    for gv, gf, fact in gens:
+    for gks, gf, fact in gens:
         for base, e in fact.factors:
             ppow = base ** e
-            u = poly_times_vector(gf // ppow, M, gv)
-            records.append((base, e, ppow, u))
+            cof = (gf // ppow).coeff_indices
+            records.append((base, e, ppow, [
+                _combine(field, gks, (0,) * s + cof)
+                for s in range(ppow.degree)]))
     records.sort(key=lambda r: (r[0].sort_key(), -r[1]))
-
-    cols = []
-    blocks = []
-    for base, e, ppow, u in records:
-        blocks.append(ppow)
-        cols.extend(_krylov_columns(M, u, ppow.degree))
-    flat = [0] * (n * n)
-    for t, c in enumerate(cols):
-        for i in range(n):
-            flat[i * n + t] = c[i]
-    P = SquareMatrix._raw(field, n, flat)
+    blocks = [ppow for _, _, ppow, _ in records]
+    cols = [c for *_, bcols in records for c in bcols]
+    P = SquareMatrix._raw(field, n, [c[i] for i in range(n) for c in cols])
     # P^-1 M P = D, with a singular P an internal fault too
     if not P.det() or M * P != P * companion_block_diagonal(field, blocks):
         raise RuntimeError("transition identity failed")

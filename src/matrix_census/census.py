@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .centralizer import centralizer_unit_count, gl_order
+from .centralizer import _green, gl_order
 from .errors import within_budget
 from .factor import factorize, is_irreducible
 from .field import FieldSpec
@@ -114,7 +114,7 @@ def _census_tally(field: FieldSpec, n: int) -> dict:
         col = slice(i, i * n, n)  # column i, rows 0..i-1
         for above in itertools.product(values, repeat=i):
             a[col] = above
-            ks = _krylov(add, mul, a, n, i)
+            ks = _krylov(add, mul, a, n, above, i)
             for left in itertools.product(values, repeat=i + 1):
                 a[row] = left
                 block = _berkowitz_step(add, mul, neg, a, n, i, p, ks)
@@ -183,7 +183,7 @@ def orbit_stabilizer_report(M: SquareMatrix) -> OrbitStabilizerReport:
             "orbit report requires an irreducible characteristic polynomial")
     q = M.field.q
     n = M.n
-    stab = centralizer_unit_count(M)
+    stab = _green(q, ((f, 1),))[1]  # q^n - 1: C(M) = F[M] is a field
     glo = gl_order(q, n)
     if glo % stab:
         raise RuntimeError(

@@ -1,11 +1,12 @@
 """Centralizer algebras C(M) = {X : MX = XM} and their unit groups.
 
 Everything is read off one ``rcf``: the basis from its blocks and transition
-(Gantmacher, *The Theory of Matrices* I, ch. VIII), the dimension and units
-from Green's closed form over the (irreducible, exponent) pairs it records
-for its blocks, built from ``gl_order``.  When the characteristic polynomial
-is irreducible, C(M) is the field F[M] with q^n - 1 units.  The unit-count
-budget caps the reported |C(M)| and bounds no work.
+(Gantmacher, *The Theory of Matrices* I, ch. VIII), whose Krylov columns it
+combines and extends, the dimension and units from Green's closed form over
+the (irreducible, exponent) pairs it records for its blocks, built from
+``gl_order``.  When the characteristic polynomial is irreducible, C(M) is
+the field F[M] with q^n - 1 units.  The unit-count budget caps the reported
+|C(M)| and bounds no work.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .canonical import _krylov_columns, rcf
+from .canonical import rcf
 from .errors import within_budget
 from .factor import is_irreducible
-from .matrix import SquareMatrix, poly_times_vector, row_echelon
+from .matrix import SquareMatrix, _combine, _krylov, row_echelon
 
 DEFAULT_SPAN_BUDGET = 2 ** 20
 
@@ -39,7 +40,8 @@ def centralizer(M: SquareMatrix) -> CentralizerDescription:
     it sends 1 to a multiple of b_j / g, g = gcd(b_i, b_j), so the maps
     1 -> x^t b_j / g, t < deg g, span them, and column k of one is
     x^(t+k) b_j / g mod b_j.  Times P that column is M^(t+k) (b_j / g)(M)
-    u_j, for u_j the first column of block j in P.  Echelonized with the
+    u_j, for u_j the first column of block j in P, whose columns are u_j's
+    Krylov vectors and combine to (b_j / g)(M) u_j.  Echelonized with the
     n^2 coordinates reversed, the conjugates give the one reduced echelon
     basis with their pivots: the kernel basis of X -> MX - XM, listed by
     free coordinate.
@@ -53,13 +55,14 @@ def centralizer(M: SquareMatrix) -> CentralizerDescription:
         (b.degree for b in form.blocks), initial=0))
     vecs = []
     for (f, ej), oj in zip(form.prime_powers, offsets):
-        uj = P.flat_indices[oj::n]
+        ujs = [P.flat_indices[k::n] for k in range(oj, oj + f.degree * ej)]
         for (fi, ei), oi in zip(form.prime_powers, offsets):
             if fi != f:  # coprime blocks: g = 1
                 continue
             m = min(ei, ej)
-            cols = _krylov_columns(M, poly_times_vector(f ** (ej - m), M, uj),
-                                   f.degree * (m + ei) - 1)
+            cols = _krylov(field.add, field.mul, M.flat_indices, n,
+                           _combine(field, ujs, (f ** (ej - m)).coeff_indices),
+                           f.degree * (m + ei) - 1)
             for t in range(f.degree * m):
                 Z = [0] * (n * n)  # P times the map: block i's columns
                 for k, col in enumerate(cols[t:t + f.degree * ei], oi):

@@ -5,6 +5,10 @@ characteristic polynomial is computed by the division-free Berkowitz
 recurrence, so it is exact for every field size; the determinant is recovered
 from it as (-1)^n * charpoly(0).
 
+``_krylov`` is the one matrix-vector loop (v, M v, M^2 v, ... on a leading
+block), and ``_combine`` takes g(M) v from its vectors instead of multiplying
+again.  A caller's vector is checked by the rules for matrix entries.
+
 ``row_echelon`` is a module-level helper on plain lists of row vectors (used
 by the canonical form and the centralizer basis); pivoting always picks the
 first row with a nonzero entry, so every reduced form is deterministic.
@@ -135,19 +139,9 @@ class SquareMatrix:
 
     def apply(self, v) -> tuple:
         """Matrix times column vector of element indices."""
-        if len(v) != self.n:
-            raise ValueError(f"expected a vector of length {self.n}")
-        n = self.n
-        add, mul = self.field.add, self.field.mul
-        out = []
-        for i in range(n):
-            ro = i * n
-            s = 0
-            for j, c in enumerate(v):
-                if c:
-                    s = add(s, mul(self._e[ro + j], c))
-            out.append(s)
-        return tuple(out)
+        v = _vector(self, v)
+        return tuple(_krylov(self.field.add, self.field.mul, self._e, self.n,
+                             v, 2)[1])
 
     def charpoly(self) -> Polynomial:
         """det(xI - M), monic of degree n, by the Berkowitz recurrence."""
@@ -156,7 +150,7 @@ class SquareMatrix:
 
     def minpoly(self) -> Polynomial:
         """Least common multiple of the orders of the standard basis vectors."""
-        return _basis_conductors(self, [], [], self.n)[1]
+        return _basis_conductors(self, [], [])[1]
 
     def det(self) -> int:
         """(-1)^n times the constant term of the characteristic polynomial."""
@@ -191,21 +185,23 @@ def _berkowitz(field: FieldSpec, flat, n: int) -> list:
     add, mul, neg = field.add, field.mul, field.neg
     p = [1]
     for i in range(n):
-        ks = _krylov(add, mul, flat, n, i)
+        ks = _krylov(add, mul, flat, n, flat[i:i * n:n], i)
         p = _berkowitz_step(add, mul, neg, flat, n, i, p, ks)
     return p
 
 
-def _krylov(add, mul, flat, n: int, i: int) -> list:
-    """[C, A*C, ..., A^(i-1)*C] for A the leading i x i block of the
-    row-major n x n ``flat`` and C its column i, rows 0..i-1; [] at i = 0."""
-    ks = [[flat[t * n + i] for t in range(i)]] if i else []
-    for _ in range(i - 1):
+def _krylov(add, mul, flat, n: int, v, count: int) -> list:
+    """[v, A*v, ..., A^(count-1)*v] as lists, [] at count = 0, for A the
+    leading len(v) x len(v) block of the row-major n x n ``flat``: the
+    package's one matrix-vector loop."""
+    m = len(v)
+    ks = [list(v)] if count else []
+    for _ in range(count - 1):
         w, nw = ks[-1], []
-        for u in range(i):
+        for u in range(m):
             uo = u * n
             s = 0
-            for t in range(i):
+            for t in range(m):
                 wt = w[t]
                 if wt:
                     s = add(s, mul(flat[uo + t], wt))
@@ -214,11 +210,31 @@ def _krylov(add, mul, flat, n: int, i: int) -> list:
     return ks
 
 
+def _combine(field, vecs, coeffs) -> list:
+    """sum_k coeffs[k] * vecs[k], for len(coeffs) <= len(vecs): g(M) v from
+    the Krylov vectors [v, M v, ...] of v and g's ascending coefficients."""
+    add, mul = field.add, field.mul
+    out = [0] * len(vecs[0])
+    for c, w in zip(coeffs, vecs):
+        if c:
+            for t, wt in enumerate(w):
+                if wt:
+                    out[t] = add(out[t], mul(c, wt))
+    return out
+
+
+def _vector(M, v) -> list:
+    """v as M.n element indices, or a ValueError as for matrix entries."""
+    if len(v) != M.n:
+        raise ValueError(f"expected a vector of length {M.n}")
+    return [M.field._index(c, "entry") for c in v]
+
+
 def _berkowitz_step(add, mul, neg, flat, n: int, i: int, p: list,
                     ks: list) -> list:
     """One step of the Berkowitz recurrence on the row-major n x n ``flat``:
     the descending charpoly of its leading (i+1) x (i+1) block, from ``p``,
-    that of the leading i x i block, and ``ks``, _krylov at the same i.
+    that of the leading i x i block, and ``ks``, as _berkowitz passes it.
     Reads only row i, columns 0..i, so blocks differing there share ``ks``."""
     ro = i * n
     col = [1, neg(flat[ro + i])]
@@ -255,48 +271,44 @@ def _reduce_mod(field, vec, rref_rows, pivots):
     return cur
 
 
-def _conductor(M, v, wrref, wpivots) -> Polynomial:
-    """Order of v in the quotient by span(W): the monic minimal f with
-    f(M) v in span(W), given by the RREF rows of W.  With W empty it is the
-    order of v, and the zero vector has order 1.
-    """
-    field = M.field
-    n = M.n
-    mul, inv = field.mul, field.inv
+def _conductor(M, v, wrref, wpivots):
+    """(f, [v, M v, ..., M^deg f v]) for f the order of v in the quotient by
+    span(W), given by the RREF rows of W: the monic minimal f with f(M) v in
+    span(W).  With W empty f is the order of v; the zero vector has order 1."""
+    field, n = M.field, M.n
+    add, mul, inv = field.add, field.mul, field.inv
     # W's rows, then one [residual | combination over Krylov powers] row per
     # power M^j v that is independent of those before it, normalised at its
     # pivot; W's shorter rows leave the combination alone
     rows, pivots = list(wrref), list(wpivots)
-    kv = list(v)  # M^j v
+    ks = [list(v)]  # M^j v for j so far
     for j in range(n + 1):
         comb = [0] * (n + 1)
         comb[j] = 1
-        cur = _reduce_mod(field, kv + comb, rows, pivots)
+        cur = _reduce_mod(field, ks[j] + comb, rows, pivots)
         pivot = next((t for t in range(n) if cur[t]), None)
         if pivot is None:
             # sum(cur[n + t] M^t v) lies in span(W) and cur[n + j] = 1, so
             # the combination is the monic conductor itself
-            return Polynomial._raw(field, cur[n:])
+            return Polynomial._raw(field, cur[n:]), ks
         ic = inv(cur[pivot])
         rows.append([mul(c, ic) for c in cur])
         pivots.append(pivot)
-        kv = list(M.apply(kv))
+        ks.append(_krylov(add, mul, M._e, n, ks[j], 2)[1])
 
 
-def _basis_conductors(M, wrref, wpivots, cap: int):
-    """([(e_i, conductor of e_i in the quotient by span(W))], their lcm),
-    the lcm being the order of M on the quotient; stops at lcm degree cap."""
-    field = M.field
+def _basis_conductors(M, wrref, wpivots):
+    """([_conductor(M, e_i, W)], the lcm of those conductors), the lcm
+    being the order of M on the quotient by span(W); stops once its degree
+    is the quotient's dimension."""
     n = M.n
     conds = []
-    lcm = Polynomial.one(field)
+    lcm = Polynomial.one(M.field)
     for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        c = _conductor(M, e, wrref, wpivots)
-        conds.append((e, c))
+        c, ks = _conductor(M, [int(t == i) for t in range(n)], wrref, wpivots)
+        conds.append((c, ks))
         lcm = (lcm * c) // lcm.gcd(c)
-        if lcm.degree == cap:
+        if lcm.degree == n - len(wpivots):
             break
     return conds, lcm
 
@@ -363,15 +375,10 @@ def poly_times_vector(f: Polynomial, M: SquareMatrix, v) -> tuple:
     """f(M) applied to a vector, without forming f(M)."""
     if f.field != M.field:
         raise ValueError("polynomial and matrix over different fields")
-    add, mul = M.field.add, M.field.mul
-    acc = [0] * M.n
-    for c in reversed(f.coeff_indices):
-        acc = list(M.apply(acc))
-        if c:
-            for t in range(M.n):
-                if v[t]:
-                    acc[t] = add(acc[t], mul(c, v[t]))
-    return tuple(acc)
+    cs = f.coeff_indices
+    ks = _krylov(M.field.add, M.field.mul, M._e, M.n, _vector(M, v),
+                 len(cs) or 1)
+    return tuple(_combine(M.field, ks, cs))
 
 
 def format_matrix(M: SquareMatrix) -> str:

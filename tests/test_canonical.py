@@ -1,5 +1,9 @@
 """Companion matrices, rational canonical form, and similarity testing."""
 
+import hashlib
+import sys
+from collections import Counter
+
 import pytest
 
 import matrix_census as mc
@@ -73,6 +77,15 @@ def test_vector_order_of_companion_basis():
             smaller = order // g
             if smaller.degree >= 1 or smaller == Polynomial.one(F3):
                 assert mc.poly_times_vector(smaller, A, v) != (0, 0, 0)
+
+
+def test_vector_order_validates_vectors():
+    # over GF(4), -1 is no element index, so it cannot have an order
+    M = mc.parse_matrix("0,1;1,1", F4)
+    for v in ((-1, 0), (4, 0), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            mc.vector_order(M, v)
+    assert mc.vector_order(M, (1, 0)) == mc.parse_poly("x^2+x+1", F4)
 
 
 def test_rcf_small_known_forms():
@@ -177,7 +190,10 @@ def test_rcf_exhaustive_small():
     # every 2x2 over GF(2), GF(3) and GF(4), and every 3x3 over GF(2): the
     # transition conjugates and the blocks multiply to the charpoly.  Some
     # maximal vectors are sums over two basis vectors, e.g. for diag(0,1)
-    # over GF(2), where e_0 has order x and e_1 order x+1
+    # over GF(2), where e_0 has order x and e_1 order x+1.  The digest pins
+    # every block, transition and prime power byte for byte, so a rewrite
+    # of rcf's internals must reproduce them
+    digest = hashlib.sha256()
     for field, n in ((F2, 2), (F3, 2), (F4, 2), (F2, 3)):
         for A in all_matrices(field, n):
             form = mc.rcf(A)
@@ -185,6 +201,13 @@ def test_rcf_exhaustive_small():
             assert form.transition.det() != 0
             assert A * form.transition == form.transition * D
             assert _product(field, form.blocks) == A.charpoly()
+            digest.update(repr((
+                [b.coeff_indices for b in form.blocks],
+                form.transition.flat_indices,
+                [(f.coeff_indices, e) for f, e in form.prime_powers],
+            )).encode())
+    assert digest.hexdigest() == (
+        "e24a021e532585491a382d2a0de5fe77822ff2a1655a2e2a62fedd03d6015835")
 
 
 def test_rcf_conductor_calls_are_polynomial(monkeypatch):
@@ -211,3 +234,32 @@ def test_rcf_conductor_calls_are_polynomial(monkeypatch):
         calls.clear()
         form = mc.rcf(mc.SquareMatrix.diagonal(field, diag))
         assert [mc.format_poly(b) for b in form.blocks] == want
+
+
+def test_rcf_reuses_its_krylov_vectors(monkeypatch):
+    # outside _conductor and the det check's Berkowitz, rcf's matrix-vector
+    # products are one Krylov run per generator, n in all, and a rerun per
+    # corrected generator; every other vector is combined from those
+    rng = make_rng(1)  # as random.seed(1), then randrange(2) row by row
+    n = 40
+    M = M_(F2, [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
+    products = Counter()
+    real_krylov, real_apply = matrix_mod._krylov, M_.apply
+
+    def krylov(*args):
+        products[sys._getframe(1).f_code.co_name] += max(args[-1] - 1, 0)
+        return real_krylov(*args)
+
+    def apply(self, v):
+        products[sys._getframe(1).f_code.co_name] += 1
+        return real_apply(self, v)
+
+    for mod in (matrix_mod, canonical_mod):
+        monkeypatch.setattr(mod, "_krylov", krylov, raising=False)
+    monkeypatch.setattr(M_, "apply", apply)
+    form = mc.rcf(M)
+    assert sum(b.degree for b in form.blocks) == n
+    assert products["_conductor"] and products["_berkowitz"]
+    rest = {k: c for k, c in products.items()
+            if k not in ("_conductor", "_berkowitz")}
+    assert sum(rest.values()) <= 2 * n, rest

@@ -238,7 +238,7 @@ def test_published_count_checks_survive_optimize():
         except RuntimeError as exc:
             print("count:", exc)
         # a stabilizer order of 5 does not divide |GL_2(2)| = 6
-        census.centralizer_unit_count = lambda M: 5
+        census._green = lambda q, prime_powers: (1, 5)
         try:
             census.orbit_stabilizer_report(mc.parse_matrix("0,1;1,1", F2))
         except RuntimeError as exc:
@@ -254,7 +254,7 @@ def test_published_count_checks_survive_optimize():
         f = mc.parse_poly("x^2+x", F2)
         fact = mc.factorize(f)
         real_maximal_vector = canonical._maximal_vector
-        canonical._maximal_vector = lambda M, wrref, wpivots, cap: (
+        canonical._maximal_vector = lambda M, wrref, wpivots: (
             [1, 0], f, fact)
         try:
             mc.rcf(mc.SquareMatrix.diagonal(F2, [0, 1]))

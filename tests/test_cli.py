@@ -327,7 +327,8 @@ def test_orbit_reducible_is_domain_error(capsys):
 
 def test_failed_published_count_check_is_internal_error(capsys, monkeypatch):
     # a stabilizer order of 5 does not divide |GL_2(2)| = 6
-    monkeypatch.setattr(census_mod, "centralizer_unit_count", lambda M: 5)
+    monkeypatch.setattr(census_mod, "_green",
+                        lambda q, prime_powers: (1, 5))
     code, out, err = run_cli(capsys, "orbit", "--q", "2", "--matrix",
                              "0,1;1,1")
     assert code == 1

@@ -80,6 +80,16 @@ def test_apply_matches_manual_sum():
                 assert got[i] == acc
 
 
+def test_apply_validates_vectors():
+    # entries follow the rule for matrix entries: over GF(4), -1 and 7 are
+    # no element index, and over GF(3) -1 is 2
+    M = mc.parse_matrix("0,1;1,1", F4)
+    for v in ((-1, 0), (7, 0), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            M.apply(v)
+    assert M_(F3, [[1, 1], [0, 1]]).apply((-1, 0)) == (2, 0)
+
+
 def test_charpoly_exhaustive_2x2_against_cofactors():
     for field in (F2, F3):
         for A in all_matrices(field, 2):
@@ -97,31 +107,33 @@ def test_charpoly_random_against_cofactors():
 
 
 def test_krylov_matches_plain_matrix_powers():
-    # _krylov(.., i) is [A^k * C for k < i] for A the leading i x i block
-    # and C rows 0..i-1 of column i; rebuilt here with plain field-op loops.
-    # n = i + 2 leaves a row and column outside the block, which it must
-    # not read
+    # _krylov(.., v, count) is [A^k * v for k < count] for A the leading
+    # len(v) x len(v) block, [] at count 0 and [v] at count 1; rebuilt here
+    # with plain field-op loops.  With n = m + 2 the vector is shorter than
+    # n, which leaves rows and columns outside the block, and it must not
+    # read them
     rng = make_rng(31)
     for field in (F2, F9, mc.make_field(101)):
         add, mul, neg = field.add, field.mul, field.neg
-        for i in range(6):
-            n = i + 2
-            for _ in range(8):
+        for m in range(6):
+            n = m + 2
+            for count in range(m + 2):
                 flat = [rng.randrange(field.q) for _ in range(n * n)]
-                want, v = [], [flat[t * n + i] for t in range(i)]
-                for _ in range(i):
+                want, v = [], [rng.randrange(field.q) for _ in range(m)]
+                v0 = tuple(v)
+                for _ in range(count):
                     want.append(v)
                     nv = []
-                    for u in range(i):
+                    for u in range(m):
                         s = 0
-                        for t in range(i):
+                        for t in range(m):
                             s = add(s, mul(flat[u * n + t], v[t]))
                         nv.append(s)
                     v = nv
-                assert _krylov(add, mul, flat, n, i) == want
+                assert _krylov(add, mul, flat, n, v0, count) == want
         # nothing at i = 0, so the first step's column is [1, -a00]
         flat = [rng.randrange(1, field.q)]
-        assert _krylov(add, mul, flat, 1, 0) == []
+        assert _krylov(add, mul, flat, 1, [], 0) == []
         assert _berkowitz_step(add, mul, neg, flat, 1, 0, [1], []) == \
             [1, neg(flat[0])]
 
@@ -236,6 +248,17 @@ def test_evaluate_poly_and_vector_route_agree():
     two = mc.parse_poly("2", F3)
     assert mc.evaluate_poly(two, mc.SquareMatrix.zero(F3, 2)) == \
         mc.SquareMatrix.scalar(F3, 2, 2)
+
+
+def test_poly_times_vector_validates_vectors():
+    # a vector of the wrong length is refused, not cut to or read as n
+    A = M_(F3, [[1, 0, 1], [2, 1, 1], [1, 1, 1]])
+    f = mc.parse_poly("x+1", F3)
+    for v in ((1, 0, 0, 0), (1, 0), (1, 0, "1")):
+        with pytest.raises(ValueError):
+            mc.poly_times_vector(f, A, v)
+    assert mc.poly_times_vector(f, A, (-2, 0, 0)) == \
+        mc.poly_times_vector(f, A, (1, 0, 0))
 
 
 def test_parse_format_round_trip():

@@ -63,3 +63,20 @@ def test_each_shared_kernel_has_one_home():
     for needle, files in homes.items():
         assert [path.name for path, text in _sources()
                 if needle in text] == files, needle
+    # the matrix-vector inner product is matrix._krylov's; the only other
+    # such accumulation is Berkowitz's row i times those Krylov vectors
+    assert [(path.name, text.count("add(s, mul(")) for path, text in _sources()
+            if "add(s, mul(" in text] == [("matrix.py", 2)]
+
+
+def test_no_internal_apply_or_poly_times_vector_calls():
+    # inside src/ every matrix-vector product goes through matrix._krylov;
+    # SquareMatrix.apply and poly_times_vector validate a caller's vector
+    # and wrap it, so the package itself calls neither
+    found = [f"{path.name}:{node.lineno}"
+             for path, text in _sources()
+             for node in ast.walk(ast.parse(text, str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("apply", "poly_times_vector")]
+    assert found == []
