@@ -4,8 +4,8 @@ field arithmetic, polynomial factorization, rational canonical forms,
 centralizers, and a brute-force census that cross-checks every closed form.
 """
 
-from .canonical import (RationalCanonicalForm, are_similar, companion,
-                        companion_block_diagonal, rcf, vector_order)
+from .canonical import (RationalCanonicalForm, companion,
+                        companion_block_diagonal, rcf)
 from .census import (CensusReport, DEFAULT_ENUMERATION_BUDGET,
                      OrbitStabilizerReport, PartitionReport, census_bruteforce,
                      count_irreducible_case, count_with_charpoly,
@@ -18,8 +18,7 @@ from .factor import (Factorization, count_monic_irreducibles, factorize,
                      is_irreducible)
 from .field import (DEFAULT_FIELD_ORDER_BUDGET, FieldSpec, field_from_order,
                     is_prime, make_field)
-from .matrix import (SquareMatrix, evaluate_poly, format_matrix, parse_matrix,
-                     poly_times_vector)
+from .matrix import SquareMatrix, format_matrix, parse_matrix
 from .poly import (NEG_INF, Polynomial, format_poly, monic_polys, parse_poly)
 
 __version__ = "0.1.0"
@@ -41,7 +40,6 @@ __all__ = [
     "RationalCanonicalForm",
     "SingularMatrixError",
     "SquareMatrix",
-    "are_similar",
     "census_bruteforce",
     "centralizer",
     "centralizer_unit_count",
@@ -50,7 +48,6 @@ __all__ = [
     "count_irreducible_case",
     "count_monic_irreducibles",
     "count_with_charpoly",
-    "evaluate_poly",
     "factorize",
     "field_from_order",
     "format_matrix",
@@ -64,8 +61,6 @@ __all__ = [
     "orbit_stabilizer_report",
     "parse_matrix",
     "parse_poly",
-    "poly_times_vector",
     "rcf",
-    "vector_order",
     "verify_partition",
 ]

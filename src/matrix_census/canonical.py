@@ -1,4 +1,4 @@
-"""Rational canonical form, similarity testing, and cyclic-vector machinery.
+"""Rational canonical form and cyclic-vector machinery.
 
 ``rcf`` decomposes the space into cyclic pieces, each generated by a vector
 of maximal order modulo the part already captured: a sum of prime-power parts
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .factor import factorize
 from .field import FieldSpec
-from .matrix import (SquareMatrix, _basis_conductors, _combine, _conductor,
-                     _krylov, _solve, _vector, row_echelon)
+from .matrix import (SquareMatrix, _basis_conductors, _combine, _krylov,
+                     _solve, row_echelon)
 from .poly import Polynomial
 
 
@@ -62,11 +62,6 @@ def companion_block_diagonal(field: FieldSpec, blocks) -> SquareMatrix:
                 flat[(off + i) * n + (off + j)] = m.entry_index(i, j)
         off += m.n
     return SquareMatrix._raw(field, n, flat)
-
-
-def vector_order(M: SquareMatrix, v) -> Polynomial:
-    """Monic generator of the annihilator {f : f(M) v = 0}."""
-    return _conductor(M, _vector(M, v), [], [])[0]
 
 
 def _maximal_vector(M, wrref, wpivots):
@@ -148,22 +143,10 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
     blocks = [ppow for _, _, ppow, _ in records]
     cols = [c for *_, bcols in records for c in bcols]
     P = SquareMatrix._raw(field, n, [c[i] for i in range(n) for c in cols])
-    # P^-1 M P = D, with a singular P an internal fault too
-    if not P.det() or M * P != P * companion_block_diagonal(field, blocks):
+    # P^-1 M P = D, with a singular P (column rank below n) a fault too
+    if (len(row_echelon(field, cols)[1]) < n
+            or M * P != P * companion_block_diagonal(field, blocks)):
         raise RuntimeError("transition identity failed")
     return RationalCanonicalForm(tuple(blocks), P, n,
                                  tuple((f, e) for f, e, _, _ in records))
 
-
-def are_similar(A: SquareMatrix, B: SquareMatrix):
-    """(True, Q) with Q^-1 A Q = B when similar, else (False, None)."""
-    if A.field != B.field or A.n != B.n:
-        raise ValueError("matrices of different shape or field")
-    ra = rcf(A)
-    rb = rcf(B)
-    if ra.blocks != rb.blocks:
-        return False, None
-    Q = ra.transition * rb.transition.invert()  # invertible, as both are
-    if A * Q != Q * B:
-        raise RuntimeError("similarity witness failed")
-    return True, Q

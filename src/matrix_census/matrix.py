@@ -6,8 +6,7 @@ recurrence, so it is exact for every field size; the determinant is recovered
 from it as (-1)^n * charpoly(0).
 
 ``_krylov`` is the one matrix-vector loop (v, M v, M^2 v, ... on a leading
-block), and ``_combine`` takes g(M) v from its vectors instead of multiplying
-again.  A caller's vector is checked by the rules for matrix entries.
+block); ``_combine`` takes g(M) v from its vectors, not by multiplying again.
 
 ``row_echelon`` is a module-level helper on plain lists of row vectors (used
 by the canonical form and the centralizer basis); pivoting always picks the
@@ -137,12 +136,6 @@ class SquareMatrix:
         return power(operator.mul, self, e,
                      SquareMatrix.identity(self.field, self.n))
 
-    def apply(self, v) -> tuple:
-        """Matrix times column vector of element indices."""
-        v = _vector(self, v)
-        return tuple(_krylov(self.field.add, self.field.mul, self._e, self.n,
-                             v, 2)[1])
-
     def charpoly(self) -> Polynomial:
         """det(xI - M), monic of degree n, by the Berkowitz recurrence."""
         desc = _berkowitz(self.field, self._e, self.n)
@@ -223,13 +216,6 @@ def _combine(field, vecs, coeffs) -> list:
     return out
 
 
-def _vector(M, v) -> list:
-    """v as M.n element indices, or a ValueError as for matrix entries."""
-    if len(v) != M.n:
-        raise ValueError(f"expected a vector of length {M.n}")
-    return [M.field._index(c, "entry") for c in v]
-
-
 def _berkowitz_step(add, mul, neg, flat, n: int, i: int, p: list,
                     ks: list) -> list:
     """One step of the Berkowitz recurrence on the row-major n x n ``flat``:
@@ -258,11 +244,12 @@ def _berkowitz_step(add, mul, neg, flat, n: int, i: int, p: list,
     return np_
 
 
-def _reduce_mod(field, vec, rref_rows, pivots):
-    """Reduce a vector against RREF rows; returns the residual."""
+def _reduce_mod(field, vec, rows, pivots):
+    """vec reduced to 0 at every pivot, given that each row is 1 at its own
+    pivot and 0 at the pivots of the rows before it."""
     sub, mul = field.sub, field.mul
     cur = list(vec)
-    for row, pc in zip(rref_rows, pivots):
+    for row, pc in zip(rows, pivots):
         c = cur[pc]
         if c:
             for t, rv in enumerate(row):
@@ -359,26 +346,6 @@ def _solve(field: FieldSpec, a_rows, b_rows):
     if pivots != list(range(m)):
         return None
     return [row[m:] for row in rref]
-
-
-def evaluate_poly(f: Polynomial, M: SquareMatrix) -> SquareMatrix:
-    """f(M) by Horner."""
-    if f.field != M.field:
-        raise ValueError("polynomial and matrix over different fields")
-    acc = SquareMatrix.zero(M.field, M.n)
-    for c in reversed(f.coeff_indices):
-        acc = acc * M + SquareMatrix.scalar(M.field, M.n, c)
-    return acc
-
-
-def poly_times_vector(f: Polynomial, M: SquareMatrix, v) -> tuple:
-    """f(M) applied to a vector, without forming f(M)."""
-    if f.field != M.field:
-        raise ValueError("polynomial and matrix over different fields")
-    cs = f.coeff_indices
-    ks = _krylov(M.field.add, M.field.mul, M._e, M.n, _vector(M, v),
-                 len(cs) or 1)
-    return tuple(_combine(M.field, ks, cs))
 
 
 def format_matrix(M: SquareMatrix) -> str:

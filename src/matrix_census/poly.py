@@ -266,11 +266,6 @@ class Polynomial:
         self._check(other)
         return Polynomial._raw(self.field, _mul(self.field, self._c, other._c))
 
-    def scale(self, c: int) -> "Polynomial":
-        """Multiply by the constant with index c."""
-        mul = self.field.mul
-        return Polynomial._raw(self.field, [mul(x, c) for x in self._c])
-
     def __divmod__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

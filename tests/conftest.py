@@ -89,6 +89,29 @@ def charpoly_by_cofactors(M):
     return poly_det(field, rows)
 
 
+def evaluate_poly(f, M):
+    """f(M) by Horner on matrix products: the Cayley-Hamilton reference,
+    sharing none of the package's Krylov kernel."""
+    if f.field != M.field:
+        raise ValueError("polynomial and matrix over different fields")
+    acc = mc.SquareMatrix.zero(M.field, M.n)
+    for c in reversed(f.coeff_indices):
+        acc = acc * M + mc.SquareMatrix.scalar(M.field, M.n, c)
+    return acc
+
+
+def mat_vec(M, v):
+    """M times the column vector v of element indices, entry by entry."""
+    field, n = M.field, M.n
+    out = []
+    for i in range(n):
+        acc = 0
+        for j in range(n):
+            acc = field.add(acc, field.mul(M.entry_index(i, j), v[j]))
+        out.append(acc)
+    return tuple(out)
+
+
 def rand_irreducible_charpoly_matrix(spec, n, rng):
     """Rejection-sampled matrix whose charpoly is irreducible."""
     while True:

@@ -11,8 +11,8 @@ from matrix_census import canonical as canonical_mod
 from matrix_census import matrix as matrix_mod
 from matrix_census.poly import Polynomial
 
-from conftest import (all_matrices, make_rng, rand_invertible, rand_matrix,
-                      rand_poly)
+from conftest import (all_matrices, evaluate_poly, make_rng, mat_vec,
+                      rand_invertible, rand_matrix, rand_poly)
 
 
 F2 = mc.make_field(2)
@@ -60,32 +60,24 @@ def test_companion_block_diagonal():
 
 
 def test_vector_order_of_companion_basis():
+    # _conductor with nothing captured gives the order of v
     rng = make_rng(53)
     for field in (F2, F3, F9):
         for _ in range(15):
             f = rand_poly(field, rng.randrange(1, 5), rng)
             C = mc.companion(f)
             e0 = [1] + [0] * (f.degree - 1)
-            assert mc.vector_order(C, e0) == f
+            assert matrix_mod._conductor(C, e0, [], [])[0] == f
     # the order annihilates and is minimal among monic divisors
     A = M_(F3, [[1, 0, 1], [2, 1, 1], [1, 1, 1]])
     for v in ([1, 0, 0], [0, 1, 0], [1, 2, 2]):
-        order = mc.vector_order(A, v)
+        order = matrix_mod._conductor(A, v, [], [])[0]
         assert order.is_monic
-        assert mc.poly_times_vector(order, A, v) == (0, 0, 0)
+        assert mat_vec(evaluate_poly(order, A), v) == (0, 0, 0)
         for g, _ in mc.factorize(order).factors:
             smaller = order // g
             if smaller.degree >= 1 or smaller == Polynomial.one(F3):
-                assert mc.poly_times_vector(smaller, A, v) != (0, 0, 0)
-
-
-def test_vector_order_validates_vectors():
-    # over GF(4), -1 is no element index, so it cannot have an order
-    M = mc.parse_matrix("0,1;1,1", F4)
-    for v in ((-1, 0), (4, 0), (1,), (1, 0, 0)):
-        with pytest.raises(ValueError):
-            mc.vector_order(M, v)
-    assert mc.vector_order(M, (1, 0)) == mc.parse_poly("x^2+x+1", F4)
+                assert mat_vec(evaluate_poly(smaller, A), v) != (0, 0, 0)
 
 
 def test_rcf_small_known_forms():
@@ -167,23 +159,22 @@ def test_rcf_fixed_point_on_block_diagonals():
 
 
 def test_are_similar():
+    # conjugates have equal blocks, and the two transitions give Q with
+    # A Q = Q B; different invariant factors give different blocks
     rng = make_rng(73)
     for field, n in ((F2, 3), (F3, 3), (F9, 2)):
         for _ in range(10):
             A = rand_matrix(field, n, rng)
             P = rand_invertible(field, n, rng)
             B = P.invert() * A * P
-            flag, Q = mc.are_similar(A, B)
-            assert flag
+            ra, rb = mc.rcf(A), mc.rcf(B)
+            assert ra.blocks == rb.blocks
+            Q = ra.transition * rb.transition.invert()
             assert Q.det() != 0
             assert A * Q == Q * B
-    # different invariant factors are never similar
     A = mc.SquareMatrix.zero(F2, 2)          # blocks x, x
     B = M_(F2, [[0, 1], [0, 0]])             # block x^2
-    flag, Q = mc.are_similar(A, B)
-    assert not flag and Q is None
-    with pytest.raises(ValueError):
-        mc.are_similar(A, mc.SquareMatrix.zero(F3, 2))
+    assert mc.rcf(A).blocks != mc.rcf(B).blocks
 
 
 def test_rcf_exhaustive_small():
@@ -222,7 +213,6 @@ def test_rcf_conductor_calls_are_polynomial(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(matrix_mod, "_conductor", counted)
-    monkeypatch.setattr(canonical_mod, "_conductor", counted)
     cases = [
         (mc.make_field(101), [0, 0, 0, 1], ["x", "x", "x", "x+100"]),
         (mc.make_field(2, 8), [0, 0, 1, 1], ["x", "x", "x+1", "x+1"]),
@@ -236,30 +226,34 @@ def test_rcf_conductor_calls_are_polynomial(monkeypatch):
         assert [mc.format_poly(b) for b in form.blocks] == want
 
 
+def test_rcf_refuses_a_singular_transition(monkeypatch):
+    # x listed twice for x^2 makes two equal columns; M P = P D still holds,
+    # both sides being 0, so only P's rank shows the fault
+    x = mc.parse_poly("x", F2)
+    monkeypatch.setattr(canonical_mod, "factorize",
+                        lambda f: mc.Factorization(1, ((x, 1), (x, 1))))
+    with pytest.raises(RuntimeError, match="transition identity failed"):
+        mc.rcf(mc.companion(x * x))
+
+
 def test_rcf_reuses_its_krylov_vectors(monkeypatch):
-    # outside _conductor and the det check's Berkowitz, rcf's matrix-vector
-    # products are one Krylov run per generator, n in all, and a rerun per
-    # corrected generator; every other vector is combined from those
+    # outside _conductor, rcf's matrix-vector products are one Krylov run
+    # per generator, n in all, and a rerun per corrected generator; every
+    # other vector is combined from those, and no Berkowitz charpoly runs
     rng = make_rng(1)  # as random.seed(1), then randrange(2) row by row
     n = 40
     M = M_(F2, [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
     products = Counter()
-    real_krylov, real_apply = matrix_mod._krylov, M_.apply
+    real_krylov = matrix_mod._krylov
 
     def krylov(*args):
         products[sys._getframe(1).f_code.co_name] += max(args[-1] - 1, 0)
         return real_krylov(*args)
 
-    def apply(self, v):
-        products[sys._getframe(1).f_code.co_name] += 1
-        return real_apply(self, v)
-
     for mod in (matrix_mod, canonical_mod):
         monkeypatch.setattr(mod, "_krylov", krylov, raising=False)
-    monkeypatch.setattr(M_, "apply", apply)
     form = mc.rcf(M)
     assert sum(b.degree for b in form.blocks) == n
-    assert products["_conductor"] and products["_berkowitz"]
-    rest = {k: c for k, c in products.items()
-            if k not in ("_conductor", "_berkowitz")}
+    assert products["_conductor"] and not products["_berkowitz"]
+    rest = {k: c for k, c in products.items() if k != "_conductor"}
     assert sum(rest.values()) <= 2 * n, rest

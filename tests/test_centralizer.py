@@ -16,7 +16,8 @@ import matrix_census as mc
 from matrix_census.errors import BudgetError
 from matrix_census.matrix import _reduce_mod, row_echelon
 
-from conftest import all_matrices, make_rng, rand_invertible, rand_matrix
+from conftest import (all_matrices, evaluate_poly, make_rng, mat_vec,
+                      rand_invertible, rand_matrix)
 
 
 F2 = mc.make_field(2)
@@ -149,8 +150,9 @@ def invariant_subspaces(M, dimension_cap=None, *,
                     rows[i][pc] = 1
                 for (i, j), v in zip(free_pos, values):
                     rows[i][j] = v
-                if not any(any(_reduce_mod(field, M.apply(v), rows, pivots))
-                           for v in rows):
+                if not any(
+                        any(_reduce_mod(field, mat_vec(M, v), rows, pivots))
+                        for v in rows):
                     out.append(tuple(tuple(v) for v in rows))
     return out
 
@@ -387,7 +389,7 @@ def test_is_polynomial_centralizer_against_enumeration():
     for M in cases:
         field, n = M.field, M.n
         commuting = set(_enumerate_commuting(M))
-        polys = {mc.evaluate_poly(mc.Polynomial(field, list(cs)), M)
+        polys = {evaluate_poly(mc.Polynomial(field, list(cs)), M)
                  for cs in itertools.product(range(field.q), repeat=n)}
         assert mc.is_polynomial_centralizer(M) == (commuting == polys)
 
@@ -482,7 +484,7 @@ def test_invariant_subspaces_are_invariant():
                 rows = [list(v) for v in basis]
                 rref, pivots = row_echelon(field, rows)
                 for v in basis:
-                    image = list(M.apply(v))
+                    image = list(mat_vec(M, v))
                     # reduce the image against the subspace rows
                     for r, p in enumerate(pivots):
                         c = image[p]
@@ -499,7 +501,7 @@ def test_invariant_subspace_lattice_of_jordan_block():
     N = mc.companion(mc.parse_poly("x^2", F2))
     subs = invariant_subspaces(N)
     assert len(subs) == 1 and len(subs[0]) == 1
-    assert N.apply(subs[0][0]) == (0, 0)
+    assert mat_vec(N, subs[0][0]) == (0, 0)
 
 
 def test_invariant_subspaces_dimension_cap_and_budget():
@@ -556,7 +558,7 @@ def test_rank_kernel_and_nullspace():
             assert rank + len(kernel) == n
             assert (rank == n) == (A.det() != 0)
             for v in kernel:
-                assert A.apply(v) == (0,) * n
+                assert mat_vec(A, v) == (0,) * n
             # kernel vectors are linearly independent
             rows, pivots = row_echelon(field, [list(v) for v in kernel])
             live = [r for r in rows if any(r)]

@@ -9,8 +9,9 @@ from matrix_census.errors import SingularMatrixError
 from matrix_census.matrix import _berkowitz_step, _krylov, row_echelon
 from matrix_census.poly import Polynomial
 
-from conftest import (all_matrices, charpoly_by_cofactors, make_rng,
-                      poly_det, rand_invertible, rand_matrix, rand_poly)
+from conftest import (all_matrices, charpoly_by_cofactors, evaluate_poly,
+                      make_rng, poly_det, rand_invertible, rand_matrix,
+                      rand_poly)
 
 
 F2 = mc.make_field(2)
@@ -63,31 +64,6 @@ def test_known_products_and_inverse():
     assert A ** 0 == mc.SquareMatrix.identity(F2, 2)
     with pytest.raises(ValueError):
         A ** -1
-
-
-def test_apply_matches_manual_sum():
-    rng = make_rng(7)
-    for field, n in ((F3, 3), (F9, 2)):
-        for _ in range(20):
-            A = rand_matrix(field, n, rng)
-            v = [rng.randrange(field.q) for _ in range(n)]
-            got = A.apply(v)
-            for i in range(n):
-                acc = 0
-                for j in range(n):
-                    acc = field.add(acc,
-                                    field.mul(A.entry_index(i, j), v[j]))
-                assert got[i] == acc
-
-
-def test_apply_validates_vectors():
-    # entries follow the rule for matrix entries: over GF(4), -1 and 7 are
-    # no element index, and over GF(3) -1 is 2
-    M = mc.parse_matrix("0,1;1,1", F4)
-    for v in ((-1, 0), (7, 0), (1,), (1, 0, 0)):
-        with pytest.raises(ValueError):
-            M.apply(v)
-    assert M_(F3, [[1, 1], [0, 1]]).apply((-1, 0)) == (2, 0)
 
 
 def test_charpoly_exhaustive_2x2_against_cofactors():
@@ -149,7 +125,7 @@ def test_cayley_hamilton():
     for field, n in ((F2, 4), (F3, 3), (F9, 2), (F4, 3)):
         for _ in range(15):
             A = rand_matrix(field, n, rng)
-            assert mc.evaluate_poly(A.charpoly(), A) == \
+            assert evaluate_poly(A.charpoly(), A) == \
                 mc.SquareMatrix.zero(field, n)
 
 
@@ -173,12 +149,12 @@ def test_minpoly_divides_charpoly_and_is_minimal():
             cp = A.charpoly()
             assert mp.is_monic
             assert (cp % mp).is_zero
-            assert mc.evaluate_poly(mp, A) == mc.SquareMatrix.zero(field, n)
+            assert evaluate_poly(mp, A) == mc.SquareMatrix.zero(field, n)
             # dropping any irreducible factor must stop killing A
             for g, _ in mc.factorize(mp).factors:
                 smaller = mp // g
                 if smaller.degree >= 0 and not smaller.degree == 0:
-                    assert mc.evaluate_poly(smaller, A) != \
+                    assert evaluate_poly(smaller, A) != \
                         mc.SquareMatrix.zero(field, n)
     assert mc.SquareMatrix.identity(F3, 3).minpoly() == \
         mc.parse_poly("x+2", F3)
@@ -233,32 +209,6 @@ def test_invert_round_trip_and_singular():
         mc.SquareMatrix.zero(F3, 2).invert()
     with pytest.raises(SingularMatrixError):
         M_(F2, [[1, 1], [1, 1]]).invert()
-
-
-def test_evaluate_poly_and_vector_route_agree():
-    rng = make_rng(41)
-    for field, n in ((F2, 3), (F3, 2), (F9, 2)):
-        for _ in range(15):
-            A = rand_matrix(field, n, rng)
-            f = rand_poly(field, rng.randrange(0, 5), rng, monic=False)
-            FA = mc.evaluate_poly(f, A)
-            v = [rng.randrange(field.q) for _ in range(n)]
-            assert mc.poly_times_vector(f, A, v) == FA.apply(v)
-    # constants evaluate to scalar matrices
-    two = mc.parse_poly("2", F3)
-    assert mc.evaluate_poly(two, mc.SquareMatrix.zero(F3, 2)) == \
-        mc.SquareMatrix.scalar(F3, 2, 2)
-
-
-def test_poly_times_vector_validates_vectors():
-    # a vector of the wrong length is refused, not cut to or read as n
-    A = M_(F3, [[1, 0, 1], [2, 1, 1], [1, 1, 1]])
-    f = mc.parse_poly("x+1", F3)
-    for v in ((1, 0, 0, 0), (1, 0), (1, 0, "1")):
-        with pytest.raises(ValueError):
-            mc.poly_times_vector(f, A, v)
-    assert mc.poly_times_vector(f, A, (-2, 0, 0)) == \
-        mc.poly_times_vector(f, A, (1, 0, 0))
 
 
 def test_parse_format_round_trip():

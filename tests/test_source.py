@@ -4,6 +4,8 @@ import ast
 import importlib
 import pathlib
 
+import matrix_census
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "matrix_census"
 
 # ``python -O`` strips every assert and every ``if __debug__:`` body, so a
@@ -32,15 +34,19 @@ def test_no_debug_only_code_in_src():
     assert found == []
 
 
-def test_every_traced_target_resolves():
-    # perfbench/spans.py wraps each (module, attribute) in TARGETS when a run
-    # is traced; one that no longer resolves would crash that run.  The file
-    # is parsed, not imported.
+def _traced_targets():
+    # perfbench/spans.py's TARGETS, parsed, not imported
     spans = SRC.parent.parent / "perfbench" / "spans.py"
     tree = ast.parse(spans.read_text(), str(spans))
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets] == ["TARGETS"])
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TARGETS"])
+
+
+def test_every_traced_target_resolves():
+    # perfbench/spans.py wraps each (module, attribute) in TARGETS when a run
+    # is traced; one that no longer resolves would crash that run
+    targets = _traced_targets()
     assert targets
     missing = []
     for mod_name, attr, _ in targets:
@@ -69,14 +75,25 @@ def test_each_shared_kernel_has_one_home():
             if "add(s, mul(" in text] == [("matrix.py", 2)]
 
 
-def test_no_internal_apply_or_poly_times_vector_calls():
-    # inside src/ every matrix-vector product goes through matrix._krylov;
-    # SquareMatrix.apply and poly_times_vector validate a caller's vector
-    # and wrap it, so the package itself calls neither
-    found = [f"{path.name}:{node.lineno}"
-             for path, text in _sources()
-             for node in ast.walk(ast.parse(text, str(path)))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None))
-             in ("apply", "poly_times_vector")]
-    assert found == []
+def test_every_exported_name_has_a_caller():
+    # an exported name that no module of the package uses is surface that
+    # no command needs; each exception gives its reason
+    allowed = {
+        # wrapped by perfbench/spans.py when a run is traced
+        *(attr for _, attr, _ in _traced_targets()),
+        # N_d, the number of monic irreducibles of degree d, for the
+        # factorization-type counts
+        "count_monic_irreducibles",
+    }
+    used = set()
+    for path, text in _sources():
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert set(matrix_census.__all__) - used - allowed == set()
