@@ -15,7 +15,7 @@ companion matrices; rcf re-checks this identity on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .factor import factorize
 from .field import FieldSpec
@@ -24,12 +24,9 @@ from .matrix import (SquareMatrix, _basis_conductors, _combine, _krylov,
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class RationalCanonicalForm:
-    blocks: tuple
-    transition: SquareMatrix
-    dimension: int
-    prime_powers: tuple  # (monic irreducible f, e) with f^e each block
+# prime_powers: (monic irreducible f, e) with f^e each block, in order
+RationalCanonicalForm = namedtuple(
+    "RationalCanonicalForm", "blocks transition dimension prime_powers")
 
 
 def companion(f: Polynomial) -> SquareMatrix:

@@ -15,7 +15,7 @@ All counts are exact integers and are computed with integers only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .centralizer import _green, gl_order
 from .errors import within_budget
@@ -27,34 +27,17 @@ from .poly import Polynomial, monic_polys
 DEFAULT_ENUMERATION_BUDGET = 2 ** 26
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    q: int
-    n: int
-    entries: dict  # Polynomial -> exact count, canonically ordered
-    total: int
+# entries: Polynomial -> exact count, canonically ordered
+CensusReport = namedtuple("CensusReport", "q n entries total")
 
+# entries: Polynomial -> closed-form count, canonically ordered;
+# irreducible: frozenset of the irreducible polynomials among the entries
+PartitionReport = namedtuple(
+    "PartitionReport", "q n entries lhs_total rhs_total equal irreducible")
 
-@dataclass(frozen=True)
-class PartitionReport:
-    q: int
-    n: int
-    entries: dict  # Polynomial -> closed-form count, canonically ordered
-    lhs_total: int
-    rhs_total: int
-    equal: bool
-    irreducible: frozenset  # the irreducible polynomials among the entries
-
-
-@dataclass(frozen=True)
-class OrbitStabilizerReport:
-    matrix: SquareMatrix
-    charpoly: Polynomial
-    gl_order: int
-    stabilizer_order: int
-    orbit_size: int
-    formula_count: int
-    consistent: bool
+OrbitStabilizerReport = namedtuple(
+    "OrbitStabilizerReport", "matrix charpoly gl_order stabilizer_order "
+    "orbit_size formula_count consistent")
 
 
 def count_irreducible_case(q: int, n: int) -> int:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .canonical import rcf
 from .errors import within_budget
@@ -24,12 +23,9 @@ from .matrix import SquareMatrix, _combine, _krylov, row_echelon
 DEFAULT_SPAN_BUDGET = 2 ** 20
 
 
-@dataclass(frozen=True)
-class CentralizerDescription:
-    basis: tuple  # SquareMatrix tuple, echelonized over the n^2 coordinates
-    dimension: int
-    order: int
-    unit_count: int
+# basis: SquareMatrix tuple, echelonized over the n^2 coordinates
+CentralizerDescription = namedtuple(
+    "CentralizerDescription", "basis dimension order unit_count")
 
 
 def centralizer(M: SquareMatrix) -> CentralizerDescription:

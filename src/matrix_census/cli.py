@@ -25,7 +25,7 @@ from .centralizer import DEFAULT_SPAN_BUDGET, centralizer
 from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
                      census_bruteforce, count_irreducible_case,
                      orbit_stabilizer_report, verify_partition)
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, ParseError, TableCapError
 from .factor import factorize
 from .field import (DEFAULT_FIELD_ORDER_BUDGET, field_from_order, is_prime,
                     make_field)
@@ -107,23 +107,34 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _with_flag(flag, exc):
+    """exc, a BudgetError, naming the flag that raises its budget; the
+    log-table cap has no flag."""
+    if isinstance(exc, TableCapError):
+        return exc
+    return BudgetError(f"{exc}; raise it with {flag}")
+
+
 def _resolve_field(args):
     """The field named by --q and --k, checked against --field-budget."""
     q, k, budget = args.q, args.k, args.field_budget
-    if k is None:
-        try:
-            return field_from_order(q, max_order=budget)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    if k < 1:
-        raise _UsageError("--k must be a positive integer")
-    # the order is at least q: a huge q is refused before the primality test,
-    # whose cost grows with q
-    if q > budget:
-        raise BudgetError(f"field order {q} exceeds the budget {budget}")
-    if not is_prime(q):
-        raise _UsageError("--q must be prime when --k is given")
-    return make_field(q, k, max_order=budget)
+    try:
+        if k is None:
+            try:
+                return field_from_order(q, max_order=budget)
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from None
+        if k < 1:
+            raise _UsageError("--k must be a positive integer")
+        # the order is at least q: a huge q is refused before the primality
+        # test, whose cost grows with q
+        if q > budget:
+            raise BudgetError(f"field order {q} exceeds the budget {budget}")
+        if not is_prime(q):
+            raise _UsageError("--q must be prime when --k is given")
+        return make_field(q, k, max_order=budget)
+    except BudgetError as exc:
+        raise _with_flag("--field-budget", exc) from None
 
 
 def _field_params(field):
@@ -194,11 +205,14 @@ def _cmd_verify(args):
               "threads": args.threads}
     q = field.q
     census = partition = None
-    if args.mode != "formula":
-        census = census_bruteforce(field, n, budget=args.budget)
-    if args.mode != "bruteforce":
-        partition = verify_partition(field, n, budget=args.budget,
-                                     seed=args.seed)
+    try:
+        if args.mode != "formula":
+            census = census_bruteforce(field, n, budget=args.budget)
+        if args.mode != "bruteforce":
+            partition = verify_partition(field, n, budget=args.budget,
+                                         seed=args.seed)
+    except BudgetError as exc:
+        raise _with_flag("--budget", exc) from None
     # computed only once a budget check has bounded it
     expected_total = q ** (n * n)
     mismatches = []

@@ -5,6 +5,11 @@ class BudgetError(Exception):
     """An operation would exceed its configured enumeration or size budget."""
 
 
+class TableCapError(BudgetError):
+    """An extension field above the fixed log-table cap, which no budget
+    argument raises."""
+
+
 class ParseError(ValueError):
     """Malformed polynomial or matrix text; carries the offending position."""
 

@@ -15,17 +15,17 @@ Every stage works on coefficient lists through the list-level kernel in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import FieldSpec, _trial_division
 from .poly import (Polynomial, _add, _derivative, _divmod, _gcd, _monic,
                    _mul, _pow, _sub, _trim)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    leading: int  # index of the leading coefficient
-    factors: tuple  # ((monic irreducible Polynomial, multiplicity), ...)
+# leading: index of the leading coefficient;
+# factors: ((monic irreducible Polynomial, multiplicity), ...)
+class Factorization(namedtuple("Factorization", "leading factors")):
+    __slots__ = ()
 
     def expand(self, field: FieldSpec) -> Polynomial:
         """The product leading * f^m over the factors, in GF(q)[x]."""

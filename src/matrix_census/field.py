@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .errors import BudgetError, within_budget
+from .errors import BudgetError, TableCapError, within_budget
 
 DEFAULT_FIELD_ORDER_BUDGET = 2 ** 20
 
@@ -235,7 +235,7 @@ class FieldSpec:
     def _bind_logs(self):
         p, k, q = self.p, self.k, self.q
         if q > _LOG_TABLE_CAP:
-            raise BudgetError(
+            raise TableCapError(
                 f"field order {p}^{k} = {q} exceeds the log-table cap "
                 f"{_LOG_TABLE_CAP} for extension fields")
         n1 = q - 1

@@ -368,10 +368,15 @@ def test_orbit_stabilizer_requires_irreducible():
         mc.orbit_stabilizer_report(mc.SquareMatrix.identity(F2, 2))
 
 
-def test_report_dataclasses_are_frozen():
-    rep = mc.census_bruteforce(F2, 2)
-    with pytest.raises(Exception):
-        rep.total = 0
+def test_result_records_are_immutable():
+    M = mc.companion(mc.parse_poly("x^2+x+1", F2))
+    records = [mc.census_bruteforce(F2, 2), mc.verify_partition(F2, 2),
+               mc.orbit_stabilizer_report(M), mc.rcf(M), mc.centralizer(M),
+               mc.factorize(M.charpoly())]
+    assert len({type(r) for r in records}) == 6
+    for rec in records:
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
 
 
 def _slow_count(field, g):

@@ -1,7 +1,6 @@
 """Command-line interface: envelope schema, exit codes, output formats,
 and byte-level determinism."""
 
-import dataclasses
 import importlib
 import json
 import sys
@@ -171,7 +170,7 @@ def test_verify_flags_a_charpoly_only_the_census_found(capsys, monkeypatch):
     real = census_mod.census_bruteforce(field, 2)
     stray = {**real.entries, mc.parse_poly("x^3", field): 1}
     monkeypatch.setattr(cli, "census_bruteforce", lambda *a, **kw:
-                        dataclasses.replace(real, entries=stray))
+                        real._replace(entries=stray))
     _corrupt_formula(monkeypatch)
     code, doc = run_json(capsys, "verify", "--q", "2", "--n", "2",
                          "--mode", "both")
@@ -416,6 +415,24 @@ def test_field_budget_flag(capsys):
     assert doc["result"]["count"] == "1"
 
 
+def test_budget_errors_name_their_flag(capsys):
+    # a size budget names the flag that raises it; the log-table cap has no
+    # flag, and GF(2^25) passes both budgets and then meets it in the census
+    cases = [(("count", "--q", "2", "--k", "21", "--n", "1"),
+              "; raise it with --field-budget\n"),
+             (("verify", "--q", "2", "--n", "6", "--threads", "1"),
+              "; raise it with --budget\n"),
+             (("verify", "--q", "2", "--n", "5", "--mode", "formula",
+               "--budget", "10"), "; raise it with --budget\n"),
+             (("verify", "--q", "2", "--k", "25", "--n", "1", "--threads",
+               "1", "--field-budget", str(2 ** 25)),
+              " exceeds the log-table cap 16777216 for extension fields\n")]
+    for argv, tail in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error:budget:") and err.endswith(tail), argv
+
+
 def test_count_n_does_not_build_the_field(capsys):
     # 3^16 is above the log-table cap, and count --n needs only q
     budget = str(3 ** 16)
@@ -516,7 +533,8 @@ def test_huge_q_is_refused_before_any_primality_test(capsys, monkeypatch):
                                  *extra)
         assert code == 3 and out == ""
         assert err == f"error:budget:field order {q} exceeds the budget " \
-                      f"{mc.DEFAULT_FIELD_ORDER_BUDGET}\n"
+                      f"{mc.DEFAULT_FIELD_ORDER_BUDGET}; raise it with " \
+                      f"--field-budget\n"
     # not a prime power either, but over the budget all the same
     code, _, err = run_cli(capsys, "count", "--q", str(2 ** 40 * 3), "--n",
                            "2")

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import matrix_census
 
@@ -97,3 +99,17 @@ def test_every_exported_name_has_a_caller():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert set(matrix_census.__all__) - used - allowed == set()
+
+
+def test_cli_import_loads_no_code_generator():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a large share of
+    # a one-shot CLI process's start-up; -S keeps site .pth hooks out
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            "import matrix_census.cli; print(' '.join(sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    loaded = set(done.stdout.split())
+    assert "matrix_census.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} \
+        == set()
