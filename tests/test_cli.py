@@ -564,7 +564,10 @@ def test_parser_accepts_every_benchmark_argv(monkeypatch):
 # README examples of all six commands over GF(2), GF(3), GF(9) and GF(256),
 # one usage, one domain and one budget error, two GF(2) factorizations (a
 # degree-400 trinomial; a degree-70 product with square factors and five
-# irreducibles of degree 10) and the modulus search for GF(2^128).  verify
+# irreducibles of degree 10), the modulus search for GF(2^128), and three
+# odd-p lines: a seeded degree-60 product over GF(101) and a seeded
+# degree-30 product over GF(9), each with two distinct factors of one degree
+# and one square factor, and the Ben-Or modulus search for GF(3^64).  verify
 # passes --threads 1, its default, which params.threads echoes.
 ENVELOPES = [json.loads(line) for line in (
     Path(__file__).with_name("envelopes.jsonl").read_text().splitlines())]
