@@ -3,7 +3,10 @@
 The pipeline is classical: squarefree decomposition (with p-th root
 extraction when the derivative vanishes), then distinct-degree splitting by
 Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).  Splitting uses a
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).  Past the first
+power, distinct-degree splitting over q > 2 applies Berlekamp's Q matrix,
+one vector-matrix product per degree in place of a powmod (Berlekamp, Bell
+Syst. Tech. J. 46, 1967).  Splitting uses a
 seeded deterministic generator, and the factor list is sorted into the
 canonical polynomial order, so the result is independent of the seed.
 
@@ -18,6 +21,7 @@ import random
 from collections import namedtuple
 
 from .field import FieldSpec, _trial_division
+from .matrix import _combine
 from .poly import (Polynomial, _add, _derivative, _divmod, _gcd, _monic,
                    _mul, _pow, _sub, _trim)
 
@@ -93,17 +97,34 @@ def _squarefree_parts(field: FieldSpec, f) -> list:
 def _distinct_degree(field: FieldSpec, v):
     """Yield (d, product of the irreducible factors of degree d) for monic
     squarefree v, d ascending.  For any monic v the first d is deg(v)
-    exactly when v is irreducible."""
+    exactly when v is irreducible.
+
+    Past d = 1 each step is h <- h Q for h = x^(q^d), since h -> h^q is
+    GF(q)-linear: Berlekamp's Q is the D x D matrix whose row j is
+    x^(q j) mod the input v0, of degree D.  So h stays modulo v0, which the
+    current v divides, and gcd(v, h - x) is unchanged.  Over GF(2) the
+    packed square modulo v costs no more than h Q, so it stays.
+    """
     q = field.q
+    v0 = v
     x = h = [0, 1]
+    rows = None
     d = 1
     while 2 * d < len(v):
-        h = _pow(field, h, q, v)
+        if d == 1 or q == 2:
+            h = _pow(field, h, q, v)
+        else:
+            if rows is None:  # built on first use: a loop that ends at d = 1,
+                # as most of Ben-Or's reducible inputs do, never pays for it
+                rows = [[1], h]
+                for _ in range(len(v0) - 3):
+                    rows.append(_divmod(field, _mul(field, rows[-1], h), v0)[1])
+                rows = [r + [0] * (len(v0) - 1 - len(r)) for r in rows]
+            h = _trim(_combine(field, rows, h))
         g = _gcd(field, v, _sub(field, h, x))
         if len(g) > 1:
             yield d, g
             v = _divmod(field, v, g)[0]
-            h = _divmod(field, h, v)[1]
         d += 1
     if len(v) > 1:
         yield len(v) - 1, v

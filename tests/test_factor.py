@@ -4,7 +4,8 @@ necklace count of monic irreducibles, cross-checked by exhaustive scans."""
 import pytest
 
 import matrix_census as mc
-from matrix_census.poly import Polynomial
+from matrix_census import factor
+from matrix_census.poly import Polynomial, _divmod, _gcd, _pow, _sub
 
 from conftest import brute_irreducible, make_rng, rand_poly
 
@@ -14,6 +15,9 @@ F3 = mc.make_field(3)
 F4 = mc.make_field(2, 2)
 F5 = mc.make_field(5)
 F9 = mc.make_field(3, 2)
+F31 = mc.make_field(31)
+F101 = mc.make_field(101)
+F256 = mc.make_field(2, 8)
 
 
 def P(field, *coeffs):
@@ -172,3 +176,80 @@ def test_factorize_and_irreducibility_use_no_polynomial_arithmetic(monkeypatch):
         fact = mc.factorize(g)
         assert fact.degree == g.degree
         assert mc.is_irreducible(g) == (fact.factors == ((g.monic(), 1),))
+
+
+def _powmod_distinct_degree(field, v):
+    """The distinct-degree loop before Berlekamp's Q: one powmod
+    x^(q^d) mod v per degree, with h reduced modulo v after each factor."""
+    q = field.q
+    x = h = [0, 1]
+    d = 1
+    while 2 * d < len(v):
+        h = _pow(field, h, q, v)
+        g = _gcd(field, v, _sub(field, h, x))
+        if len(g) > 1:
+            yield d, g
+            v = _divmod(field, v, g)[0]
+            h = _divmod(field, h, v)[1]
+        d += 1
+    if len(v) > 1:
+        yield len(v) - 1, v
+
+
+def _irreducible(field, degree, rng):
+    """A seeded monic irreducible, found by the powmod reference."""
+    while True:
+        f = rand_poly(field, degree, rng).coeff_indices
+        if next(_powmod_distinct_degree(field, f))[0] == degree:
+            return f
+
+
+def test_distinct_degree_matches_the_powmod_loop():
+    rng = make_rng(211)
+    for field in (F3, F4, F5, F9, F31, F101, F256):
+        squarefree, other = [], []
+        for _ in range(6):
+            f = rand_poly(field, rng.randrange(1, 41), rng)
+            squarefree_f = f.gcd(f.derivative()).degree == 0
+            (squarefree if squarefree_f else other).append(f.coeff_indices)
+        # small factors first: the loop loses them early and stops early
+        for _ in range(2):
+            f = Polynomial.one(field)
+            for _ in range(rng.randrange(2, 6)):
+                f = f * rand_poly(field, rng.randrange(1, 4), rng)
+            f = f * rand_poly(field, rng.randrange(1, 25), rng)
+            if f.gcd(f.derivative()).degree == 0:
+                squarefree.append(f.coeff_indices)
+            else:
+                other.append(f.coeff_indices)
+        # an irreducible runs every step
+        squarefree.append(_irreducible(field, rng.randrange(8, 17), rng))
+        # squares: only the first yield counts, as in Ben-Or's test
+        for _ in range(3):
+            g = rand_poly(field, rng.randrange(1, 16), rng)
+            h = rand_poly(field, rng.randrange(1, 12), rng)
+            other.append((g * h * h).coeff_indices)
+        for f in squarefree:
+            assert list(factor._distinct_degree(field, f)) == \
+                list(_powmod_distinct_degree(field, f))
+        for f in other:
+            assert next(factor._distinct_degree(field, f)) == \
+                next(_powmod_distinct_degree(field, f))
+
+
+def test_distinct_degree_powmods_once_past_gf2(monkeypatch):
+    # over q > 2 only x^q is a powmod, every later step is a product with
+    # Berlekamp's Q; GF(2) keeps its packed square at each of the 15 steps
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return _pow(*args)
+
+    monkeypatch.setattr(factor, "_pow", counted)
+    rng = make_rng(223)
+    for field, calls in ((F101, 1), (F2, 15)):
+        f = _irreducible(field, 30, rng)
+        seen.clear()
+        assert list(factor._distinct_degree(field, f)) == [(30, f)]
+        assert len(seen) == calls

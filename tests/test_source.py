@@ -64,10 +64,13 @@ def test_each_shared_kernel_has_one_home():
     # the lower bound that refuses a budget without computing b^e lives in
     # errors.within_budget, square-and-multiply in field.power, and the
     # polynomial product and division loops, with the GF(2) bit-spread
-    # square and shift-and-XOR reduction, in the list kernel of poly.py
+    # square and shift-and-XOR reduction, in the list kernel of poly.py; the
+    # linear combination of vectors, which factor's Frobenius step h Q also
+    # takes, in matrix._combine
     homes = {"bit_length() + 64": ["errors.py"], "e >>= 1": ["field.py"],
              "out[i + j] = add(": ["poly.py"], "for j in range(db)": ["poly.py"],
-             '"0".join(': ["poly.py"], "^= b << ": ["poly.py"]}
+             '"0".join(': ["poly.py"], "^= b << ": ["poly.py"],
+             "out[t] = add(out[t], mul(c, ": ["matrix.py"]}
     for needle, files in homes.items():
         assert [path.name for path, text in _sources()
                 if needle in text] == files, needle
