@@ -99,11 +99,11 @@ def _distinct_degree(field: FieldSpec, v):
     squarefree v, d ascending.  For any monic v the first d is deg(v)
     exactly when v is irreducible.
 
-    Past d = 1 each step is h <- h Q for h = x^(q^d), since h -> h^q is
-    GF(q)-linear: Berlekamp's Q is the D x D matrix whose row j is
-    x^(q j) mod the input v0, of degree D.  So h stays modulo v0, which the
-    current v divides, and gcd(v, h - x) is unchanged.  Over GF(2) the
-    packed square modulo v costs no more than h Q, so it stays.
+    Past d = 1, when two or more steps remain, each step is h <- h Q for
+    h = x^(q^d), since h -> h^q is GF(q)-linear: Berlekamp's Q is the D x D
+    matrix whose row j is x^(q j) mod the input v0, of degree D.  So h stays
+    modulo v0, which the current v divides, and gcd(v, h - x) is unchanged.
+    Over GF(2) the packed square modulo v costs no more than h Q, so it stays.
     """
     q = field.q
     v0 = v
@@ -111,11 +111,12 @@ def _distinct_degree(field: FieldSpec, v):
     rows = None
     d = 1
     while 2 * d < len(v):
-        if d == 1 or q == 2:
+        if rows is None and (d == 1 or q == 2 or 2 * d + 2 >= len(v)):
             h = _pow(field, h, q, v)
         else:
-            if rows is None:  # built on first use: a loop that ends at d = 1,
-                # as most of Ben-Or's reducible inputs do, never pays for it
+            if rows is None:  # built only for two or more steps: a loop that
+                # ends by d = 2, as most of Ben-Or's reducible inputs do and
+                # every input of degree 5 or less does, never pays for it
                 rows = [[1], h]
                 for _ in range(len(v0) - 3):
                     rows.append(_divmod(field, _mul(field, rows[-1], h), v0)[1])
