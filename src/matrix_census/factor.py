@@ -114,9 +114,9 @@ def _distinct_degree(field: FieldSpec, v):
         if rows is None and (d == 1 or q == 2 or 2 * d + 2 >= len(v)):
             h = _pow(field, h, q, v)
         else:
-            if rows is None:  # built only for two or more steps: a loop that
-                # ends by d = 2, as most of Ben-Or's reducible inputs do and
-                # every input of degree 5 or less does, never pays for it
+            if rows is None:
+                # a loop that ends by d = 2, as every input of degree 5 or
+                # less and most of Ben-Or's reducible inputs do, never builds Q
                 rows = [[1], h]
                 for _ in range(len(v0) - 3):
                     rows.append(_divmod(field, _mul(field, rows[-1], h), v0)[1])
