@@ -6,9 +6,9 @@ Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (von zur
 Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).  Past the first
 power, distinct-degree splitting over q > 2 applies Berlekamp's Q matrix,
 one vector-matrix product per degree in place of a powmod (Berlekamp, Bell
-Syst. Tech. J. 46, 1967).  Splitting uses a
-seeded deterministic generator, and the factor list is sorted into the
-canonical polynomial order, so the result is independent of the seed.
+Syst. Tech. J. 46, 1967).  Splitting uses a seeded deterministic generator,
+and the factor list is sorted into the canonical polynomial order, so the
+result is independent of the seed.
 
 Every stage works on coefficient lists through the list-level kernel in
 ``poly``.  ``Polynomial`` is the API boundary: ``factorize`` and
