@@ -6,8 +6,11 @@ enumerates every matrix and tallies characteristic polynomials.  The census
 walks leading blocks, one new column and row at a time, through the Krylov
 vectors (once per column) and Berkowitz step (once per row) of
 ``SquareMatrix.charpoly``; tests check it against cofactor expansion.  It
-shares no code with the closed forms, which come from factorization shapes,
-so agreement between the two routes is a genuine cross-check.
+shares no code with the closed forms, which depend only on the
+factorization type of the charpoly (the (degree, multiplicity) pairs of its
+irreducible factors; Gerstenhaber; Reiner, Illinois J. Math. 5, 1961), so
+agreement between the two routes is a genuine cross-check.  The partition
+check evaluates the closed form once per distinct type.
 
 All counts are exact integers and are computed with integers only.
 """
@@ -19,7 +22,7 @@ from collections import namedtuple
 
 from .centralizer import _green, gl_order
 from .errors import within_budget
-from .factor import factorize, is_irreducible
+from .factor import _factorization_type, is_irreducible
 from .field import FieldSpec
 from .matrix import SquareMatrix, _berkowitz_step, _krylov
 from .poly import Polynomial, monic_polys
@@ -54,10 +57,10 @@ def count_irreducible_case(q: int, n: int) -> int:
     return out
 
 
-def count_with_charpoly(g: Polynomial, *, seed: int = 0) -> int:
+def count_with_charpoly(g: Polynomial) -> int:
     """Number of deg(g) x deg(g) matrices whose charpoly is the monic g.
 
-    Computed from the factorization shape of g by the all-integer
+    Computed from the factorization type of g by the all-integer
     rearrangement gl(q,n) * q^(sum d_i n_i^2 - n) / prod gl(q^d_i, n_i),
     which must divide exactly.
     """
@@ -65,17 +68,20 @@ def count_with_charpoly(g: Polynomial, *, seed: int = 0) -> int:
         raise ValueError("characteristic polynomial must have degree >= 1")
     if not g.is_monic:
         raise ValueError("characteristic polynomial must be monic")
-    return _count_from_factors(g.field.q, g.degree,
-                               factorize(g, seed=seed).factors)
+    return _count_from_type(g.field.q, g.degree,
+                            _factorization_type(g.field, g.coeff_indices))
 
 
-def _count_from_factors(q: int, n: int, factors) -> int:
-    """count_with_charpoly for a degree-n charpoly with the given
-    (monic irreducible, multiplicity) factors."""
-    num = gl_order(q, n) * q ** (sum(f.degree * m * m for f, m in factors) - n)
+def _count_from_type(q: int, n: int, ftype) -> int:
+    """count_with_charpoly for a degree-n charpoly of factorization type
+    ftype: one (degree d, multiplicity m) pair per irreducible factor."""
+    if sum(d * m for d, m in ftype) != n:
+        raise RuntimeError(
+            f"factorization type {ftype} does not have degree {n}")
+    num = gl_order(q, n) * q ** (sum(d * m * m for d, m in ftype) - n)
     den = 1
-    for f, m in factors:
-        den *= gl_order(q ** f.degree, m)
+    for d, m in ftype:
+        den *= gl_order(q ** d, m)
     if num % den:
         raise RuntimeError(
             f"count formula does not divide exactly: {num} / {den}")
@@ -136,20 +142,26 @@ def census_bruteforce(spec: FieldSpec, n: int, *,
 
 
 def verify_partition(spec: FieldSpec, n: int, *,
-                     budget: int = DEFAULT_ENUMERATION_BUDGET,
-                     seed: int = 0) -> PartitionReport:
+                     budget: int = DEFAULT_ENUMERATION_BUDGET
+                     ) -> PartitionReport:
     """Sum the closed-form count over every monic degree-n polynomial and
-    compare with q^(n^2).  No matrix enumeration is involved."""
+    compare with q^(n^2).  No matrix enumeration is involved; each
+    polynomial's factorization type is read without equal-degree splitting,
+    and the count is computed once per distinct type."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
     q = spec.q
     within_budget(q, n, budget, "{} monic polynomials exceed the budget {}")
     entries = {}
     irreducible = set()
+    by_type = {}
     for g in monic_polys(spec, n):
-        factors = factorize(g, seed=seed).factors
-        entries[g] = _count_from_factors(q, n, factors)
-        if len(factors) == 1 and factors[0][1] == 1:
+        ftype = _factorization_type(spec, g.coeff_indices)
+        count = by_type.get(ftype)
+        if count is None:
+            count = by_type[ftype] = _count_from_type(q, n, ftype)
+        entries[g] = count
+        if ftype == ((n, 1),):
             irreducible.add(g)
     entries = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
     lhs = sum(entries.values())

@@ -22,7 +22,7 @@ import time
 
 from .canonical import rcf
 from .centralizer import DEFAULT_SPAN_BUDGET, centralizer
-from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_factors,
+from .census import (DEFAULT_ENUMERATION_BUDGET, _count_from_type,
                      census_bruteforce, count_irreducible_case,
                      orbit_stabilizer_report, verify_partition)
 from .errors import BudgetError, ParseError, TableCapError
@@ -181,7 +181,8 @@ def _cmd_count(args):
             f"--n {args.n} does not match the polynomial degree {g.degree}")
     fact = factorize(g, seed=args.seed)
     irred = len(fact.factors) == 1 and fact.factors[0][1] == 1
-    count = _count_from_factors(field.q, g.degree, fact.factors)
+    count = _count_from_type(field.q, g.degree,
+                             [(f.degree, m) for f, m in fact.factors])
     params.update(n=g.degree, poly=format_poly(g))
     result = {
         "count": _decimal(count),
@@ -209,8 +210,7 @@ def _cmd_verify(args):
         if args.mode != "formula":
             census = census_bruteforce(field, n, budget=args.budget)
         if args.mode != "bruteforce":
-            partition = verify_partition(field, n, budget=args.budget,
-                                         seed=args.seed)
+            partition = verify_partition(field, n, budget=args.budget)
     except BudgetError as exc:
         raise _with_flag("--budget", exc) from None
     # computed only once a budget check has bounded it

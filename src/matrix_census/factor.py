@@ -10,6 +10,12 @@ Syst. Tech. J. 46, 1967).  Splitting uses a seeded deterministic generator,
 and the factor list is sorted into the canonical polynomial order, so the
 result is independent of the seed.
 
+The counting formulas need only the factorization type, the sorted
+(degree, multiplicity) pairs of the irreducible factors: a degree-d
+product of degree k*d stands for k factors of degree d, so
+``_factorization_type`` stops before equal-degree splitting and draws no
+random numbers.
+
 Every stage works on coefficient lists through the list-level kernel in
 ``poly``.  ``Polynomial`` is the API boundary: ``factorize`` and
 ``is_irreducible`` take one and convert only at entry and exit.
@@ -186,6 +192,27 @@ def factorize(g: Polynomial, seed: int = 0) -> Factorization:
     if fact.expand(field) != g:
         raise RuntimeError("factorization does not reconstruct input")
     return fact
+
+
+def _factorization_type(field: FieldSpec, f) -> tuple:
+    """((degree, multiplicity), ...), ascending, one pair per irreducible
+    factor of the monic coefficient list f, read off the squarefree and
+    distinct-degree splits; like ``factorize``, it checks that the parts
+    multiply back to f."""
+    found = []
+    prod = [1]
+    for part, mult in _squarefree_parts(field, f):
+        for d, prod_d in _distinct_degree(field, part):
+            k, r = divmod(len(prod_d) - 1, d)
+            if r:
+                raise RuntimeError(
+                    f"distinct-degree product of degree {len(prod_d) - 1} "
+                    f"is not a product of degree-{d} factors")
+            found.extend([(d, mult)] * k)
+            prod = _mul(field, prod, _pow(field, prod_d, mult))
+    if prod != list(f):
+        raise RuntimeError("factorization type does not reconstruct input")
+    return tuple(sorted(found))
 
 
 def count_monic_irreducibles(field: FieldSpec, n: int) -> int:

@@ -1,16 +1,18 @@
 """Counting formulas against the brute-force census and against each other."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
 import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import matrix_census as mc
-from matrix_census import census as census_mod
+from matrix_census import census as census_mod, factor
 from matrix_census.errors import BudgetError
 from matrix_census.poly import Polynomial
 from conftest import all_matrices, charpoly_by_cofactors
@@ -209,7 +211,6 @@ def test_published_count_checks_survive_optimize():
     # assert statements vanish under -O; these checks must not
     script = textwrap.dedent("""
         import sys
-        from types import SimpleNamespace
         import matrix_census as mc
         from matrix_census import canonical, census, factor
 
@@ -228,15 +229,20 @@ def test_published_count_checks_survive_optimize():
             census.census_bruteforce(F2, 2)
         except RuntimeError as exc:
             print("census:", exc)
-        # a degree-3 charpoly reported as the square of a quadratic:
-        # 168 * 2^5 is not divisible by |GL_2(4)| = 180
-        quad = mc.parse_poly("x^2+x+1", F2)
-        census.factorize = lambda g, seed=0: SimpleNamespace(
-            factors=[(quad, 2)])
+        # a degree-3 charpoly reported as the square of a quadratic
+        census._factorization_type = lambda field, f: ((2, 2),)
         try:
             census.count_with_charpoly(mc.parse_poly("x^3+x+1", F2))
         except RuntimeError as exc:
             print("count:", exc)
+        # a wrong |GL_1(4)| of 4 does not divide |GL_2(2)| * 2^0 = 6
+        real_gl_order = census.gl_order
+        census.gl_order = lambda q, n: 4 if q == 4 else real_gl_order(q, n)
+        try:
+            census._count_from_type(2, 2, ((2, 1),))
+        except RuntimeError as exc:
+            print("divide:", exc)
+        census.gl_order = real_gl_order
         # a stabilizer order of 5 does not divide |GL_2(2)| = 6
         census._green = lambda q, prime_powers: (1, 5)
         try:
@@ -279,6 +285,17 @@ def test_published_count_checks_survive_optimize():
             mc.factorize(mc.parse_poly("x^3+x+1", F2))
         except RuntimeError as exc:
             print("factorize:", exc)
+        cubic = mc.parse_poly("x^3+x+1", F2).coeff_indices
+        try:
+            factor._factorization_type(F2, cubic)
+        except RuntimeError as exc:
+            print("type:", exc)
+        # x^3+x+1 reported as a product of quadratics
+        factor._distinct_degree = lambda field, v: iter([(2, v)])
+        try:
+            factor._factorization_type(F2, cubic)
+        except RuntimeError as exc:
+            print("degree:", exc)
     """)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -290,13 +307,19 @@ def test_published_count_checks_survive_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "census", "count", "orbit", "necklace", "rcf", "transition", "root",
-        "factorize"]
-    assert lines[4:] == [
+        "census", "count", "divide", "orbit", "necklace", "rcf", "transition",
+        "root", "factorize", "type", "degree"]
+    assert lines[1:3] == [
+        "count: factorization type ((2, 2),) does not have degree 3",
+        "divide: count formula does not divide exactly: 6 / 4"]
+    assert lines[5:] == [
         "rcf: cyclic pieces are not independent",
         "transition: transition identity failed",
         "root: not a p-th power",
-        "factorize: factorization does not reconstruct input"]
+        "factorize: factorization does not reconstruct input",
+        "type: factorization type does not reconstruct input",
+        "degree: distinct-degree product of degree 3 is not a product of "
+        "degree-2 factors"]
 
 
 def test_census_budget():
@@ -319,6 +342,45 @@ def test_verify_partition():
         assert rep.irreducible == {g for g in rep.entries
                                    if mc.is_irreducible(g)}
         assert len(rep.irreducible) == mc.count_monic_irreducibles(field, n)
+
+
+def test_partition_and_count_check_the_type_reconstructs(monkeypatch):
+    # a distinct-degree split that loses its last product must not yield a
+    # count, under python -O as well (see the -O test above)
+    real = factor._distinct_degree
+    monkeypatch.setattr(factor, "_distinct_degree",
+                        lambda field, v: iter(list(real(field, v))[:-1]))
+    with pytest.raises(RuntimeError):
+        mc.verify_partition(F3, 2)
+    with pytest.raises(RuntimeError):
+        mc.count_with_charpoly(mc.parse_poly("x^3+x+1", F2))
+
+
+def test_verify_partition_counts_once_per_type(monkeypatch):
+    # the partition route reads factorization types: it runs no
+    # equal-degree splitting, makes no generator, and evaluates the closed
+    # form once per distinct type
+    types = {tuple(sorted((f.degree, m) for f, m in mc.factorize(g).factors))
+             for g in mc.monic_polys(F3, 4)}
+    calls = {"split": 0, "rng": 0, "count": 0}
+
+    def counted(key, real):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(factor, "_edf_split",
+                        counted("split", factor._edf_split))
+    monkeypatch.setattr(factor, "random", SimpleNamespace(
+        Random=counted("rng", random.Random)))
+    monkeypatch.setattr(census_mod, "_count_from_type",
+                        counted("count", census_mod._count_from_type))
+    assert mc.verify_partition(F3, 4).equal
+    assert calls == {"split": 0, "rng": 0, "count": len(types)}
+    # the counters see factorize's splitter: x^2+1 = (x+2)(x+3) over GF(5)
+    mc.factorize(mc.parse_poly("x^2+1", F5))
+    assert calls["split"] >= 1 and calls["rng"] == 1
 
 
 def test_verify_partition_budget():

@@ -135,9 +135,9 @@ def test_verify_budget_exceeded(capsys):
 
 def _corrupt_formula(monkeypatch):
     """Shift every closed-form count by one, as a wrong formula would."""
-    real = census_mod._count_from_factors
-    monkeypatch.setattr(census_mod, "_count_from_factors",
-                        lambda q, n, factors: real(q, n, factors) + 1)
+    real = census_mod._count_from_type
+    monkeypatch.setattr(census_mod, "_count_from_type",
+                        lambda q, n, ftype: real(q, n, ftype) + 1)
 
 
 def test_verify_corrupted_formula_fails(capsys, monkeypatch):

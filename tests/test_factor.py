@@ -253,3 +253,34 @@ def test_distinct_degree_powmods_once_past_gf2(monkeypatch):
         seen.clear()
         assert list(factor._distinct_degree(field, f)) == [(30, f)]
         assert len(seen) == calls
+
+
+def _type_of(fact):
+    return tuple(sorted((f.degree, m) for f, m in fact.factors))
+
+
+def test_factorization_type_matches_factorize():
+    F8 = mc.make_field(2, 3)
+    for field, dmax in ((F2, 10), (F3, 6), (F4, 5), (F5, 4), (F8, 3), (F9, 3)):
+        for d in range(1, dmax + 1):
+            for f in mc.monic_polys(field, d):
+                assert factor._factorization_type(field, f.coeff_indices) == \
+                    _type_of(mc.factorize(f)), mc.format_poly(f)
+    # seeded products of distinct irreducibles in a fixed shape: two factors
+    # of one degree, squares, and cubes, which over GF(9) are p-th powers
+    rng = make_rng(227)
+    for field, shape in (
+            (F101, ((8, 1), (4, 1), (4, 1), (3, 2), (2, 3), (1, 2))),
+            (F9, ((4, 2), (3, 1), (3, 1), (2, 3), (1, 3), (1, 1)))):
+        for _ in range(2):
+            f = Polynomial.one(field)
+            chosen = set()
+            for d, m in shape:
+                g = _irreducible(field, d, rng)
+                while g in chosen:
+                    g = _irreducible(field, d, rng)
+                chosen.add(g)
+                f = f * Polynomial(field, list(g)) ** m
+            assert f.degree == {F101: 30, F9: 24}[field]
+            assert factor._factorization_type(field, f.coeff_indices) == \
+                _type_of(mc.factorize(f)) == tuple(sorted(shape))
