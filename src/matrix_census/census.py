@@ -7,8 +7,8 @@ walks leading blocks, one new column and row at a time, through the Krylov
 vectors (once per column) and Berkowitz step (once per row) of
 ``SquareMatrix.charpoly``; tests check it against cofactor expansion.  It
 shares no code with the closed forms, which depend only on the
-factorization type of the charpoly (the (degree, multiplicity) pairs of its
-irreducible factors; Gerstenhaber; Reiner, Illinois J. Math. 5, 1961), so
+factorization type of the charpoly, the (degree, multiplicity) pairs of its
+irreducible factors (Gerstenhaber; Reiner, Illinois J. Math. 5, 1961), so
 agreement between the two routes is a genuine cross-check.  The partition
 check evaluates the closed form once per distinct type.
 
