@@ -122,7 +122,7 @@ def rcf(M: SquareMatrix) -> RationalCanonicalForm:
 
         gens.append((ks, f, fact))
         wcols.extend(ks[:d])
-        wrref, wpivots = row_echelon(field, wcols)
+        wrref, wpivots = row_echelon(field, wrref + ks[:d])
         if len(wpivots) != len(wcols):
             raise RuntimeError("cyclic pieces are not independent")
 

@@ -6,15 +6,20 @@ recurrence, so it is exact for every field size; the determinant is recovered
 from it as (-1)^n * charpoly(0).
 
 ``_krylov`` is the one matrix-vector loop (v, M v, M^2 v, ... on a leading
-block); ``_combine`` takes g(M) v from its vectors, not by multiplying again.
+block).  ``_combine`` is the one row-combination loop: it takes g(M) v from
+those vectors, not by multiplying again, and each row of a matrix product
+as a combination of the rows of the right factor.
 
-``row_echelon`` is a module-level helper on plain lists of row vectors (used
-by the canonical form and the centralizer basis); pivoting always picks the
-first row with a nonzero entry, so every reduced form is deterministic.
+``_reduce_mod`` is the one row-subtraction loop: ``row_echelon`` (on plain
+lists of row vectors, for the canonical form, the centralizer basis and
+``_solve``) and the conductor both take their pivot rows from it through
+``_pivot_row``.  A row space has one reduced echelon form, so
+``row_echelon``'s result does not depend on the order of its input rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import operator
 
 from .errors import ParseError, SingularMatrixError
@@ -114,21 +119,12 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check(other)
-        n = self.n
-        add, mul = self.field.add, self.field.mul
+        n, field = self.n, self.field
         a, b = self._e, other._e
-        out = [0] * (n * n)
-        for i in range(n):
-            ro = i * n
-            for t in range(n):
-                c = a[ro + t]
-                if c:
-                    bo = t * n
-                    for j in range(n):
-                        v = b[bo + j]
-                        if v:
-                            out[ro + j] = add(out[ro + j], mul(c, v))
-        return SquareMatrix._raw(self.field, n, out)
+        brows = [b[t:t + n] for t in range(0, n * n, n)]
+        return SquareMatrix._raw(field, n, [
+            c for i in range(0, n * n, n)
+            for c in _combine(field, brows, a[i:i + n])])
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -246,7 +242,8 @@ def _berkowitz_step(add, mul, neg, flat, n: int, i: int, p: list,
 
 def _reduce_mod(field, vec, rows, pivots):
     """vec reduced to 0 at every pivot, given that each row is 1 at its own
-    pivot and 0 at the pivots of the rows before it."""
+    pivot and 0 at the pivots of the rows before it: the module's one
+    row-subtraction loop, which every elimination here goes through."""
     sub, mul = field.sub, field.mul
     cur = list(vec)
     for row, pc in zip(rows, pivots):
@@ -258,30 +255,43 @@ def _reduce_mod(field, vec, rows, pivots):
     return cur
 
 
+def _pivot_row(field, vec, rows, pivots, width):
+    """(vec reduced by _reduce_mod, pivot): the pivot is its first nonzero
+    entry among the first ``width``, where the row is scaled to 1, or None
+    when there is none and the reduced vec is returned as it is."""
+    cur = _reduce_mod(field, vec, rows, pivots)
+    for p in range(width):
+        c = cur[p]
+        if c:
+            if c != 1:
+                ic, mul = field.inv(c), field.mul
+                cur = [mul(x, ic) for x in cur]
+            return cur, p
+    return cur, None
+
+
 def _conductor(M, v, wrref, wpivots):
     """(f, [v, M v, ..., M^deg f v]) for f the order of v in the quotient by
     span(W), given by the RREF rows of W: the monic minimal f with f(M) v in
     span(W).  With W empty f is the order of v; the zero vector has order 1."""
     field, n = M.field, M.n
-    add, mul, inv = field.add, field.mul, field.inv
     # W's rows, then one [residual | combination over Krylov powers] row per
     # power M^j v that is independent of those before it, normalised at its
-    # pivot; W's shorter rows leave the combination alone
+    # pivot among the residual's n entries; W's shorter rows leave the
+    # combination alone
     rows, pivots = list(wrref), list(wpivots)
     ks = [list(v)]  # M^j v for j so far
     for j in range(n + 1):
         comb = [0] * (n + 1)
         comb[j] = 1
-        cur = _reduce_mod(field, ks[j] + comb, rows, pivots)
-        pivot = next((t for t in range(n) if cur[t]), None)
+        cur, pivot = _pivot_row(field, ks[j] + comb, rows, pivots, n)
         if pivot is None:
             # sum(cur[n + t] M^t v) lies in span(W) and cur[n + j] = 1, so
             # the combination is the monic conductor itself
             return Polynomial._raw(field, cur[n:]), ks
-        ic = inv(cur[pivot])
-        rows.append([mul(c, ic) for c in cur])
+        rows.append(cur)
         pivots.append(pivot)
-        ks.append(_krylov(add, mul, M._e, n, ks[j], 2)[1])
+        ks.append(_krylov(field.add, field.mul, M._e, n, ks[j], 2)[1])
 
 
 def _basis_conductors(M, wrref, wpivots):
@@ -301,39 +311,23 @@ def _basis_conductors(M, wrref, wpivots):
 
 
 def row_echelon(field: FieldSpec, rows):
-    """Reduced row echelon form in place; returns (nonzero rows, pivot cols)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    sub, mul, inv = field.sub, field.mul, field.inv
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
+    """Reduced row echelon form: (nonzero rows, ascending pivot columns).
+    Each row is brought to a pivot row by the rows kept so far
+    (_pivot_row), cleared out of the kept rows nonzero at its pivot and
+    inserted in pivot order.  A row space has one such form, so the order
+    of the input rows does not change the result."""
+    rref, pivots = [], []
+    for r in rows:
+        cur, p = _pivot_row(field, r, rref, pivots, len(r))
+        if p is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        row = rows[r]
-        ic = inv(row[col])
-        if ic != 1:
-            rows[r] = row = [mul(c, ic) for c in row]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                ri = rows[i]
-                for t in range(col, ncols):
-                    if row[t]:
-                        ri[t] = sub(ri[t], mul(c, row[t]))
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        for i, row in enumerate(rref):
+            if row[p]:
+                rref[i] = _reduce_mod(field, row, [cur], [p])
+        k = bisect.bisect(pivots, p)
+        rref.insert(k, cur)
+        pivots.insert(k, p)
+    return rref, pivots
 
 
 def _solve(field: FieldSpec, a_rows, b_rows):

@@ -100,6 +100,46 @@ def evaluate_poly(f, M):
     return acc
 
 
+def gauss_jordan(field, rows):
+    """(nonzero rows, pivot columns) of the reduced row echelon form by a
+    column sweep: pivot on the first remaining row nonzero in each column
+    and clear that column in every other row.  The reference for the
+    package's row_echelon, sharing none of its elimination."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(len(pivots), len(rows)) if rows[i][col]),
+                   None)
+        if sel is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[sel] = rows[sel], rows[r]
+        ic = field.inv(rows[r][col])
+        rows[r] = [field.mul(c, ic) for c in rows[r]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != r and c:
+                rows[i] = [field.sub(x, field.mul(c, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def mat_product(A, B):
+    """A * B by the textbook triple loop over entry_index: the reference
+    for the package's matrix product."""
+    field, n = A.field, A.n
+    flat = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for t in range(n):
+                acc = field.add(acc, field.mul(A.entry_index(i, t),
+                                               B.entry_index(t, j)))
+            flat.append(acc)
+    return _from_flat(field, n, flat)
+
+
 def mat_vec(M, v):
     """M times the column vector v of element indices, entry by entry."""
     field, n = M.field, M.n

@@ -16,8 +16,8 @@ import matrix_census as mc
 from matrix_census.errors import BudgetError
 from matrix_census.matrix import _reduce_mod, row_echelon
 
-from conftest import (all_matrices, evaluate_poly, make_rng, mat_vec,
-                      rand_invertible, rand_matrix)
+from conftest import (all_matrices, evaluate_poly, gauss_jordan, make_rng,
+                      mat_vec, rand_invertible, rand_matrix)
 
 
 F2 = mc.make_field(2)
@@ -38,8 +38,9 @@ def _enumerate_commuting(M):
 def nullspace(field, rows, ncols):
     """Deterministic echelonized basis of {v : R v = 0} for the given rows:
     one vector per free column of R's reduced echelon form, in ascending
-    order, 1 there and 0 at every other free column."""
-    rref, pivots = row_echelon(field, rows)
+    order, 1 there and 0 at every other free column.  Built on the
+    test-side gauss_jordan, so it shares no elimination with centralizer."""
+    rref, pivots = gauss_jordan(field, rows)
     neg = field.neg
     pivot_set = set(pivots)
     basis = []

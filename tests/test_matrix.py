@@ -2,6 +2,8 @@
 polynomial is cross-checked against an independent cofactor expansion of
 det(x*I - M) computed in the polynomial ring."""
 
+import itertools
+
 import pytest
 
 import matrix_census as mc
@@ -10,14 +12,17 @@ from matrix_census.matrix import _berkowitz_step, _krylov, row_echelon
 from matrix_census.poly import Polynomial
 
 from conftest import (all_matrices, charpoly_by_cofactors, evaluate_poly,
-                      make_rng, poly_det, rand_invertible, rand_matrix,
-                      rand_poly)
+                      gauss_jordan, make_rng, mat_product, poly_det,
+                      rand_invertible, rand_matrix, rand_poly)
 
 
 F2 = mc.make_field(2)
 F3 = mc.make_field(3)
 F4 = mc.make_field(2, 2)
 F9 = mc.make_field(3, 2)
+F31 = mc.make_field(31)
+F256 = mc.make_field(2, 8)
+ELIMINATION_FIELDS = (F2, F3, F4, F9, F31, F256)
 M_ = mc.SquareMatrix
 
 
@@ -179,13 +184,31 @@ def test_det_multiplicative_and_matches_cofactors():
     assert M_(F3, [[2]]).det() == 2
 
 
+def _rank_deficient(field, m, k, rank, rng):
+    """m rows of length k spanning at most ``rank`` dimensions, with zero
+    rows and repeats among them."""
+    basis = [[rng.randrange(field.q) for _ in range(k)] for _ in range(rank)]
+    rows = []
+    for _ in range(m):
+        row = [0] * k
+        for b in basis:
+            c = rng.randrange(field.q)
+            row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+        rows.append(row)
+    rows[rng.randrange(m)] = [0] * k
+    rows.append(list(rng.choice(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
 def test_row_echelon_shape():
     rng = make_rng(31)
-    for field in (F2, F3, F9):
+    for field in ELIMINATION_FIELDS:
         for _ in range(15):
             rows = [[rng.randrange(field.q) for _ in range(4)]
                     for _ in range(3)]
             red, pivots = row_echelon(field, rows)
+            assert (red, pivots) == gauss_jordan(field, rows)
             assert pivots == sorted(pivots)
             for r, p in enumerate(pivots):
                 assert red[r][p] == 1
@@ -195,6 +218,49 @@ def test_row_echelon_shape():
             # re-reducing is a fixed point
             again, pivots2 = row_echelon(field, red)
             assert again == red and pivots2 == pivots
+    # the reduced echelon form of a row space is unique, so the package's
+    # insertion into a reduced set must equal the column sweep row for row
+    assert row_echelon(F2, []) == gauss_jordan(F2, []) == ([], [])
+    for field in ELIMINATION_FIELDS:
+        cases = [[[rng.randrange(field.q) for _ in range(k)]
+                  for _ in range(m)]
+                 for m, k in ((7, 3), (5, 5), (3, 8), (1, 4), (4, 1))]
+        # _solve's [A | B], and again with A's last row a copy of its first
+        for n in (2, 4, 6):
+            a = rand_matrix(field, n, rng).flat_indices
+            b = rand_matrix(field, n, rng).flat_indices
+            ab = [a[i * n:(i + 1) * n] + b[i * n:(i + 1) * n]
+                  for i in range(n)]
+            cases += [ab, ab[:-1] + [ab[0][:n] + ab[-1][n:]]]
+        cases.append([[0] * 4, [0] * 4])
+        cases.extend(_rank_deficient(field, m, k, r, rng)
+                     for m, k, r in ((6, 4, 2), (5, 7, 3), (8, 8, 1),
+                                     (3, 5, 0)))
+        for rows in cases:
+            expected = gauss_jordan(field, rows)
+            assert row_echelon(field, rows) == expected, (field, rows)
+        # every order of the input rows gives the same form
+        for m, k, r in ((4, 4, 3), (4, 5, 4), (5, 3, 2)):
+            rows = _rank_deficient(field, m, k, r, rng)[:5]
+            expected = gauss_jordan(field, rows)
+            for perm in itertools.permutations(rows):
+                assert row_echelon(field, perm) == expected, (field, perm)
+
+
+def test_product_matches_triple_loop():
+    rng = make_rng(59)
+    for field in ELIMINATION_FIELDS:
+        for n in range(1, 8):
+            for _ in range(3):
+                A = rand_matrix(field, n, rng)
+                B = rand_matrix(field, n, rng)
+                assert A * B == mat_product(A, B)
+            # sparse factors take the product's zero-skipping paths
+            Z = mc.SquareMatrix.zero(field, n)
+            D = mc.SquareMatrix.diagonal(
+                field, [rng.randrange(field.q) for _ in range(n)])
+            assert A * Z == Z == Z * A
+            assert A * D == mat_product(A, D) and D * A == mat_product(D, A)
 
 
 def test_invert_round_trip_and_singular():

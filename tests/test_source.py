@@ -78,6 +78,28 @@ def test_each_shared_kernel_has_one_home():
     # such accumulation is Berkowitz's row i times those Krylov vectors
     assert [(path.name, text.count("add(s, mul(")) for path, text in _sources()
             if "add(s, mul(" in text] == [("matrix.py", 2)]
+    # every row reduction in matrix.py subtracts through _reduce_mod, and
+    # every row combination, the matrix product's rows too, accumulates in
+    # _combine; poly.py's product and division loops are its own
+    assert _enclosing_defs("] = sub(") == [("matrix.py", "_reduce_mod"),
+                                           ("poly.py", "_divmod")]
+    assert _enclosing_defs("] = add(out[") == [("matrix.py", "_combine"),
+                                               ("poly.py", "_mul")]
+
+
+def _enclosing_defs(needle):
+    """(file, name of the last def above the line) for each line of
+    the package source holding the needle."""
+    found = []
+    for path, text in _sources():
+        name = None
+        for line in text.splitlines():
+            head = line.lstrip()
+            if head.startswith("def "):
+                name = head[4:].partition("(")[0]
+            if needle in line:
+                found.append((path.name, name))
+    return found
 
 
 def test_every_exported_name_has_a_caller():
