@@ -5,7 +5,9 @@ count_irreducible_case, count_with_charpoly) and a brute-force census that
 enumerates every matrix and tallies characteristic polynomials.  The census
 walks leading blocks, one new column and row at a time, through the Krylov
 vectors (once per column) and Berkowitz step (once per row) of
-``SquareMatrix.charpoly``; tests check it against cofactor expansion.  It
+``SquareMatrix.charpoly``.  The last row goes by linearity: the step is
+affine in that row, so n + 1 steps per column give the keys of all q^n
+rows under it.  Tests check the census against cofactor expansion.  It
 shares no code with the closed forms, which depend only on the
 factorization type of the charpoly, the (degree, multiplicity) pairs of its
 irreducible factors (Gerstenhaber; Reiner, Illinois J. Math. 5, 1961), so
@@ -18,7 +20,7 @@ All counts are exact integers and are computed with integers only.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .centralizer import _green, gl_order
 from .errors import within_budget
@@ -91,27 +93,41 @@ def _count_from_type(q: int, n: int, ftype) -> int:
 def _census_tally(field: FieldSpec, n: int) -> dict:
     """Tally charpoly coefficient tuples (descending) over every n x n
     matrix, extending leading blocks one column and row at a time; the
-    Krylov vectors A^k*C of a new column C serve all q^(i+1) rows under it."""
-    add, mul, neg = field.add, field.mul, field.neg
+    Krylov vectors A^k*C of a new column C serve all q^(i+1) rows under it.
+
+    The Berkowitz step is affine in row i, so at the last row the q^n keys
+    under a column are base + sum_j a[i][j] * U_j, with base the step at the
+    zero row and U_j the step at the unit row e_j minus base: n + 1 steps
+    per column, then one vector addition per key."""
+    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
     a = [0] * (n * n)
     values = range(field.q)
-    tally = {}
+    tally = Counter()
 
     def walk(i, p):
-        last = i == n - 1
         row = slice(i * n, i * n + i + 1)  # row i, columns 0..i
         col = slice(i, i * n, n)  # column i, rows 0..i-1
         for above in itertools.product(values, repeat=i):
             a[col] = above
             ks = _krylov(add, mul, a, n, above, i)
-            for left in itertools.product(values, repeat=i + 1):
-                a[row] = left
-                block = _berkowitz_step(add, mul, neg, a, n, i, p, ks)
-                if last:
-                    key = tuple(block)
-                    tally[key] = tally.get(key, 0) + 1
-                else:
-                    walk(i + 1, block)
+            if i < n - 1:
+                for left in itertools.product(values, repeat=i + 1):
+                    a[row] = left
+                    walk(i + 1, _berkowitz_step(add, mul, neg, a, n, i, p, ks))
+                continue
+            a[row] = [0] * (i + 1)
+            base = _berkowitz_step(add, mul, neg, a, n, i, p, ks)
+            keys = [tuple(base)]
+            for j in range(i + 1):
+                a[row] = [int(t == j) for t in range(i + 1)]
+                unit = _berkowitz_step(add, mul, neg, a, n, i, p, ks)
+                u = list(map(sub, unit, base))
+                grown = list(keys)  # a[i][j] = 0 keeps each key
+                for v in values[1:]:
+                    d = [mul(v, x) for x in u]
+                    grown += [tuple(map(add, k, d)) for k in keys]
+                keys = grown
+            tally.update(keys)
 
     walk(0, [1])
     return tally

@@ -138,28 +138,27 @@ def _distinct_degree(field: FieldSpec, v):
 
 
 def _edf_split(field: FieldSpec, u, d: int, rng: random.Random) -> list:
-    """One proper monic factor of u, a product of >= 2 irreducibles of degree d."""
+    """One proper monic factor of u, a product of >= 2 irreducibles of degree d.
+
+    A draw splits such a u with probability about 1/2 or more, so 128 failed
+    draws mean that u is not such a product."""
     q = field.q
     D = len(u) - 1
-    if field.p == 2:
-        steps = field.k * d - 1
-        while True:
-            r = _trim([rng.randrange(q) for _ in range(D)])
-            acc = _divmod(field, r, u)[1]
-            cur = acc
-            for _ in range(steps):
+    for _ in range(128):
+        r = _trim([rng.randrange(q) for _ in range(D)])
+        if field.p == 2:
+            acc = cur = _divmod(field, r, u)[1]
+            for _ in range(field.k * d - 1):
                 cur = _pow(field, cur, 2, u)
                 acc = _add(field, acc, cur)
-            g = _gcd(field, acc, u)
-            if 1 < len(g) <= D:
-                return g
-    else:
-        e = (q ** d - 1) // 2
-        while True:
-            r = _trim([rng.randrange(q) for _ in range(D)])
-            g = _gcd(field, _sub(field, _pow(field, r, e, u), [1]), u)
-            if 1 < len(g) <= D:
-                return g
+        else:
+            acc = _sub(field, _pow(field, r, (q ** d - 1) // 2, u), [1])
+        g = _gcd(field, acc, u)
+        if 1 < len(g) <= D:
+            return g
+    raise RuntimeError(
+        f"equal-degree splitting found no degree-{d} factor of a degree-{D} "
+        "product in 128 draws")
 
 
 def _equal_degree(field: FieldSpec, prod, d: int, rng: random.Random) -> list:
@@ -185,6 +184,7 @@ def factorize(g: Polynomial, seed: int = 0) -> Factorization:
     found = []
     for part, mult in _squarefree_parts(field, _monic(field, g.coeff_indices)):
         for d, prod_d in _distinct_degree(field, part):
+            _check_degree(prod_d, d)
             for f in _equal_degree(field, prod_d, d, rng):
                 found.append((Polynomial._raw(field, f), mult))
     found.sort(key=lambda t: t[0].sort_key())
@@ -203,16 +203,22 @@ def _factorization_type(field: FieldSpec, f) -> tuple:
     prod = [1]
     for part, mult in _squarefree_parts(field, f):
         for d, prod_d in _distinct_degree(field, part):
-            k, r = divmod(len(prod_d) - 1, d)
-            if r:
-                raise RuntimeError(
-                    f"distinct-degree product of degree {len(prod_d) - 1} "
-                    f"is not a product of degree-{d} factors")
-            found.extend([(d, mult)] * k)
+            found.extend([(d, mult)] * _check_degree(prod_d, d))
             prod = _mul(field, prod, _pow(field, prod_d, mult))
     if prod != list(f):
         raise RuntimeError("factorization type does not reconstruct input")
     return tuple(sorted(found))
+
+
+def _check_degree(prod_d, d: int) -> int:
+    """The number of degree-d factors of the distinct-degree product prod_d;
+    raises unless its degree is a multiple of d."""
+    k, r = divmod(len(prod_d) - 1, d)
+    if r:
+        raise RuntimeError(
+            f"distinct-degree product of degree {len(prod_d) - 1} "
+            f"is not a product of degree-{d} factors")
+    return k
 
 
 def count_monic_irreducibles(field: FieldSpec, n: int) -> int:

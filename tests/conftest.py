@@ -6,6 +6,7 @@ import random
 import pytest
 
 import matrix_census as mc
+from matrix_census.matrix import _berkowitz_step, _krylov
 
 
 def make_rng(seed):
@@ -90,13 +91,14 @@ def charpoly_by_cofactors(M):
 
 
 def evaluate_poly(f, M):
-    """f(M) by Horner on matrix products: the Cayley-Hamilton reference,
-    sharing none of the package's Krylov kernel."""
+    """f(M) by Horner on textbook matrix products (mat_product): the
+    Cayley-Hamilton reference, sharing none of the package's Krylov or
+    row-combination kernels."""
     if f.field != M.field:
         raise ValueError("polynomial and matrix over different fields")
     acc = mc.SquareMatrix.zero(M.field, M.n)
     for c in reversed(f.coeff_indices):
-        acc = acc * M + mc.SquareMatrix.scalar(M.field, M.n, c)
+        acc = mat_product(acc, M) + mc.SquareMatrix.scalar(M.field, M.n, c)
     return acc
 
 
@@ -138,6 +140,36 @@ def mat_product(A, B):
                                                B.entry_index(t, j)))
             flat.append(acc)
     return _from_flat(field, n, flat)
+
+
+def census_rowwise(field, n):
+    """Charpoly coefficient tuples (descending) tallied over every n x n
+    matrix by one Berkowitz step per matrix at every row: the reference for
+    the census's last row by linearity.  It walks leading blocks as the
+    census does, through the package's _krylov and _berkowitz_step, which
+    the cofactor route checks."""
+    add, mul, neg = field.add, field.mul, field.neg
+    a = [0] * (n * n)
+    values = range(field.q)
+    tally = {}
+
+    def walk(i, p):
+        row = slice(i * n, i * n + i + 1)  # row i, columns 0..i
+        col = slice(i, i * n, n)  # column i, rows 0..i-1
+        for above in itertools.product(values, repeat=i):
+            a[col] = above
+            ks = _krylov(add, mul, a, n, above, i)
+            for left in itertools.product(values, repeat=i + 1):
+                a[row] = left
+                block = _berkowitz_step(add, mul, neg, a, n, i, p, ks)
+                if i == n - 1:
+                    key = tuple(block)
+                    tally[key] = tally.get(key, 0) + 1
+                else:
+                    walk(i + 1, block)
+
+    walk(0, [1])
+    return tally
 
 
 def mat_vec(M, v):

@@ -15,7 +15,7 @@ import matrix_census as mc
 from matrix_census import census as census_mod, factor
 from matrix_census.errors import BudgetError
 from matrix_census.poly import Polynomial
-from conftest import all_matrices, charpoly_by_cofactors
+from conftest import all_matrices, census_rowwise, charpoly_by_cofactors
 from test_acceptance import GRID
 
 
@@ -166,8 +166,9 @@ def test_census_matches_direct_charpoly_loop():
 def test_census_shares_krylov_vectors_per_column(monkeypatch):
     # the Krylov vectors depend only on the leading i x i block and the new
     # column above row i, so the walk computes them at most
-    # sum_{i<n} q^(i^2+i) times, while each of the sum_{i<n} q^((i+1)^2)
-    # leading blocks still takes its own step
+    # sum_{i<n} q^(i^2+i) times.  Each of the 2 + 16 + 512 leading blocks
+    # smaller than n takes its own step, and at the last row each of the
+    # 4096 (block, column) nodes takes n + 1 = 5: the zero and unit rows
     krylov_calls = steps = 0
     real_krylov, real_step = census_mod._krylov, census_mod._berkowitz_step
 
@@ -186,7 +187,20 @@ def test_census_shares_krylov_vectors_per_column(monkeypatch):
     rep = mc.census_bruteforce(F2, 4)
     assert rep.total == 2 ** 16
     assert krylov_calls <= sum(2 ** (i * i + i) for i in range(4)) == 4165
-    assert steps == sum(2 ** ((i + 1) ** 2) for i in range(4)) == 66066
+    assert steps == 2 + 16 + 512 + 5 * 4096 == 21010
+
+
+def test_census_matches_rowwise_walk(census_cache):
+    # the last row by linearity against one Berkowitz step per matrix: the
+    # census workload's cells, GF(4) under XOR tables at n = 3, a prime
+    # field of more than 1024 elements, and n = 1
+    cells = [(2, 4), (3, 3), (5, 2), (7, 2), (8, 2), (9, 2), (2, 3), (4, 3),
+             (2053, 1), (2, 1), (3, 1), (4, 1), (9, 1)]
+    for q, n in cells:
+        field = mc.field_from_order(q)
+        want = {Polynomial(field, list(reversed(key))): count
+                for key, count in census_rowwise(field, n).items()}
+        assert census_cache(q, n).entries == want, (q, n)
 
 
 def test_census_threads_agree():
@@ -296,6 +310,12 @@ def test_published_count_checks_survive_optimize():
             factor._factorization_type(F2, cubic)
         except RuntimeError as exc:
             print("degree:", exc)
+        # x^3+x+1 reported as a product of linear factors: no draw splits it
+        factor._distinct_degree = lambda field, v: iter([(1, v)])
+        try:
+            mc.factorize(mc.parse_poly("x^3+x+1", F2))
+        except RuntimeError as exc:
+            print("split:", exc)
     """)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -308,7 +328,7 @@ def test_published_count_checks_survive_optimize():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "census", "count", "divide", "orbit", "necklace", "rcf", "transition",
-        "root", "factorize", "type", "degree"]
+        "root", "factorize", "type", "degree", "split"]
     assert lines[1:3] == [
         "count: factorization type ((2, 2),) does not have degree 3",
         "divide: count formula does not divide exactly: 6 / 4"]
@@ -319,7 +339,9 @@ def test_published_count_checks_survive_optimize():
         "factorize: factorization does not reconstruct input",
         "type: factorization type does not reconstruct input",
         "degree: distinct-degree product of degree 3 is not a product of "
-        "degree-2 factors"]
+        "degree-2 factors",
+        "split: equal-degree splitting found no degree-1 factor of a "
+        "degree-3 product in 128 draws"]
 
 
 def test_census_budget():

@@ -14,7 +14,7 @@ import pytest
 
 import matrix_census as mc
 from matrix_census.errors import BudgetError
-from matrix_census.matrix import _reduce_mod, row_echelon
+from matrix_census.matrix import row_echelon
 
 from conftest import (all_matrices, evaluate_poly, gauss_jordan, make_rng,
                       mat_vec, rand_invertible, rand_matrix)
@@ -151,9 +151,10 @@ def invariant_subspaces(M, dimension_cap=None, *,
                     rows[i][pc] = 1
                 for (i, j), v in zip(free_pos, values):
                     rows[i][j] = v
-                if not any(
-                        any(_reduce_mod(field, mat_vec(M, v), rows, pivots))
-                        for v in rows):
+                # M v lies in the span of the r rows when appending it
+                # leaves the rank at r
+                if all(len(gauss_jordan(field, rows + [mat_vec(M, v)])[1]) == r
+                       for v in rows):
                     out.append(tuple(tuple(v) for v in rows))
     return out
 

@@ -1,10 +1,13 @@
 """Factorization into monic irreducibles, irreducibility testing, and the
 necklace count of monic irreducibles, cross-checked by exhaustive scans."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 import matrix_census as mc
-from matrix_census import factor
+from matrix_census import cli, factor
 from matrix_census.poly import Polynomial, _divmod, _gcd, _pow, _sub
 
 from conftest import brute_irreducible, make_rng, rand_poly
@@ -284,3 +287,43 @@ def test_factorization_type_matches_factorize():
             assert f.degree == {F101: 30, F9: 24}[field]
             assert factor._factorization_type(field, f.coeff_indices) == \
                 _type_of(mc.factorize(f)) == tuple(sorted(shape))
+
+
+def test_factorize_raises_on_a_false_distinct_degree_split(capsys,
+                                                         monkeypatch):
+    # a distinct-degree product that is not a product of degree-d
+    # irreducibles must raise, not draw forever.  The counting generator
+    # fails the test where an unbounded splitter would hang it
+    draws = 0
+
+    class Counted(random.Random):
+        def randrange(self, *args):
+            nonlocal draws
+            draws += 1
+            if draws > 10 ** 4:
+                raise AssertionError("equal-degree splitting did not stop")
+            return super().randrange(*args)
+
+    d = 1
+    monkeypatch.setattr(factor, "random", SimpleNamespace(Random=Counted))
+    monkeypatch.setattr(factor, "_distinct_degree",
+                        lambda field, v: iter([(d, v)]))
+    # irreducibles reported as products of linear factors split on no draw
+    for field, text in ((F2, "x^2+x+1"), (F2, "x^3+x+1"), (F3, "x^2+1")):
+        with pytest.raises(RuntimeError, match=r"no degree-1 factor of a "
+                           r"degree-\d product in 128 draws"):
+            mc.factorize(mc.parse_poly(text, field))
+    # each draw takes one coefficient per degree of the product
+    assert draws == 128 * (2 + 3 + 2)
+    # a cubic reported as quadratics fails the degree check before any draw
+    d = 2
+    with pytest.raises(RuntimeError,
+                       match="is not a product of degree-2 factors"):
+        mc.factorize(mc.parse_poly("x^3+x+1", F2))
+    assert draws == 128 * 7
+    # the CLI reports the failed split as an internal error, exit 1
+    d = 1
+    assert cli.run(["factor", "--q", "2", "--poly", "x^3+x+1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:internal:equal-degree splitting")

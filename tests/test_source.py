@@ -85,6 +85,10 @@ def test_each_shared_kernel_has_one_home():
                                            ("poly.py", "_divmod")]
     assert _enclosing_defs("] = add(out[") == [("matrix.py", "_combine"),
                                                ("poly.py", "_mul")]
+    # the Berkowitz convolution with the previous charpoly is the step's
+    # alone: the census's last row calls the step, not a copy of it
+    assert _enclosing_defs("acc = add(acc, mul(col[") == [
+        ("matrix.py", "_berkowitz_step")]
 
 
 def _enclosing_defs(needle):
