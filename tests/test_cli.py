@@ -567,7 +567,11 @@ def test_parser_accepts_every_benchmark_argv(monkeypatch):
 # irreducibles of degree 10), the modulus search for GF(2^128), and three
 # odd-p lines: a seeded degree-60 product over GF(101) and a seeded
 # degree-30 product over GF(9), each with two distinct factors of one degree
-# and one square factor, and the Ben-Or modulus search for GF(3^64); and
+# and one square factor, and the Ben-Or modulus search for GF(3^64); three
+# odd-p factorizations past the packed kernel's crossovers: a seeded
+# degree-120 product over GF(101) and a seeded degree-40 product over
+# GF(65521), each with a square factor, and a degree-16 polynomial over
+# GF(4294967311), whose packed slots need more than 8 bytes; and
 # three formula-mode csv tables, which pin every per-charpoly closed-form
 # count over GF(2) at n = 4 (with (x+1)^4, whose squarefree part is found
 # through a p-th root), GF(4) at n = 3 and GF(5) at n = 3.  verify's json
