@@ -6,9 +6,13 @@ Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (von zur
 Gathen and Gerhard, *Modern Computer Algebra*, ch. 14).  Past the first
 power, distinct-degree splitting over q > 2 applies Berlekamp's Q matrix,
 one vector-matrix product per degree in place of a powmod (Berlekamp, Bell
-Syst. Tech. J. 46, 1967).  Splitting uses a seeded deterministic generator,
-and the factor list is sorted into the canonical polynomial order, so the
-result is independent of the seed.
+Syst. Tech. J. 46, 1967).  Over an odd prime field Q's D rows are packed
+once into the kernel's slots (``poly._row_combiner``), each wide enough for
+D * (p - 1)^2, so a step is D big-int multiply-adds and one unpack; Q's
+construction and the gcds go through the kernel's packed product and
+lazily reduced division (see ``poly``).  Splitting uses a seeded
+deterministic generator, and the factor list is sorted into the canonical
+polynomial order, so the result is independent of the seed.
 
 The counting formulas need only the factorization type, the sorted
 (degree, multiplicity) pairs of the irreducible factors: a degree-d
@@ -23,13 +27,12 @@ Every stage works on coefficient lists through the list-level kernel in
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 
 from .field import FieldSpec, _trial_division
 from .matrix import _combine
 from .poly import (Polynomial, _add, _derivative, _divmod, _gcd, _monic,
-                   _mul, _pow, _sub, _trim)
+                   _mul, _pow, _row_combiner, _sub, _trim)
 
 
 # leading: index of the leading coefficient;
@@ -110,6 +113,7 @@ def _distinct_degree(field: FieldSpec, v):
     matrix whose row j is x^(q j) mod the input v0, of degree D.  So h stays
     modulo v0, which the current v divides, and gcd(v, h - x) is unchanged.
     Over GF(2) the packed square modulo v costs no more than h Q, so it stays.
+    Over odd prime fields the rows of Q are packed once for all steps.
     """
     q = field.q
     v0 = v
@@ -127,7 +131,9 @@ def _distinct_degree(field: FieldSpec, v):
                 for _ in range(len(v0) - 3):
                     rows.append(_divmod(field, _mul(field, rows[-1], h), v0)[1])
                 rows = [r + [0] * (len(v0) - 1 - len(r)) for r in rows]
-            h = _trim(_combine(field, rows, h))
+                step = (_row_combiner(field.p, rows) if field.k == 1 else
+                        lambda h: _combine(field, rows, h))
+            h = _trim(step(h))
         g = _gcd(field, v, _sub(field, h, x))
         if len(g) > 1:
             yield d, g
@@ -137,7 +143,7 @@ def _distinct_degree(field: FieldSpec, v):
         yield len(v) - 1, v
 
 
-def _edf_split(field: FieldSpec, u, d: int, rng: random.Random) -> list:
+def _edf_split(field: FieldSpec, u, d: int, rng) -> list:
     """One proper monic factor of u, a product of >= 2 irreducibles of degree d.
 
     A draw splits such a u with probability about 1/2 or more, so 128 failed
@@ -161,7 +167,7 @@ def _edf_split(field: FieldSpec, u, d: int, rng: random.Random) -> list:
         "product in 128 draws")
 
 
-def _equal_degree(field: FieldSpec, prod, d: int, rng: random.Random) -> list:
+def _equal_degree(field: FieldSpec, prod, d: int, rng) -> list:
     out = []
     stack = [_monic(field, prod)]
     while stack:
@@ -179,6 +185,8 @@ def factorize(g: Polynomial, seed: int = 0) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities."""
     if g.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    # imported here, its only use, so commands that never factor skip it
+    import random
     field = g.field
     rng = random.Random(seed)
     found = []

@@ -11,9 +11,9 @@ of GF(p^k) always agree on the representation.  The scan runs the package's
 one irreducibility test, Ben-Or's in ``factor``, over GF(p) on bare coefficient
 lists.  Over GF(2) the polynomial kernel packs each candidate into one int,
 so Ben-Or's products and reductions are shifts and XORs on whole machine
-words; over an odd p they cost one field operation per coefficient pair, and
-each Frobenius step past x^p is one product with Berlekamp's Q matrix, not a
-powmod.
+words; over an odd p it packs them into byte slots, one big-int operation in
+place of a field operation per coefficient pair, and each Frobenius step
+past x^p is one product with Berlekamp's Q matrix, not a powmod.
 Only ``max_order`` bounds the scan.
 
 Prime fields compute on the indices modulo p.  Every extension field computes

@@ -19,10 +19,33 @@ Algebra*, ch. 8-9).  In that form a sum is an XOR, a product XORs shifted
 copies of one operand, a square spreads the bits apart, and reduction and
 Euclid are ``a ^= b << s`` loops.  Packing converts only through base 2
 (``int(s, 2)`` and ``bin``), which the int/str digit limit does not cover.
-Every other field runs the coefficient loops.
+
+Over an odd prime field ``_mul`` and ``_divmod`` pack by Kronecker
+substitution (von zur Gathen and Gerhard, sec. 8.4; Harvey, J. Symbolic
+Comput. 44, 2009): slot i of one int, a fixed number of bytes wide, holds the
+coefficient of x^i as a nonnegative integer not yet reduced modulo p.  A
+slot is as wide as the largest value it can reach.  A product's slots hold
+sums of min(len a, len b) products of at most (p - 1)^2 each; it is one
+big-int multiply, unpacked with one ``% p`` per slot.  A division's slots
+hold at most (p - 1) + min(steps, deg b) * (p - 1)^2: it runs long division
+on the packed dividend with lazy reduction, each step reading the top slot
+modulo p and adding (p - c) times the divisor, shifted, so nothing is
+subtracted and no borrow crosses a slot; the remainder is unpacked once.
+``_gcd`` and ``_pow`` reach both through ``_divmod`` and ``_mul``.  Slots of
+1, 2, 4 or 8 bytes convert through ``array`` in C, wider ones (p near 2^32
+and beyond) byte string by byte string, so every prime packs.
+``_row_combiner`` packs a matrix's rows once in the same form, for the
+Frobenius step h Q in ``factor``.  Operands below the measured crossovers
+``_PACK_MUL_MIN`` and ``_PACK_DIV_PAIRS`` stay on the coefficient loops,
+which are faster there.
+Extension fields run the coefficient loops through their log/Zech tables.
 """
 
 from __future__ import annotations
+
+import operator
+import sys
+from array import array
 
 from .errors import ParseError
 from .field import FieldSpec, power
@@ -30,6 +53,14 @@ from .field import FieldSpec, power
 NEG_INF = float("-inf")
 
 _MAX_PARSE_DEGREE = 1 << 16
+
+# Over an odd prime field a product packs when both operands have more than
+# _PACK_MUL_MIN coefficients, and a division when its loop would take more
+# than _PACK_DIV_PAIRS coefficient pairs, steps * deg(b).  Below these the
+# coefficient loops are faster; they also skip zero coefficients, which a
+# product with a short or sparse operand has many of.
+_PACK_MUL_MIN = 6
+_PACK_DIV_PAIRS = 32
 
 
 # The list-level kernel.  A coefficient list is a sequence of element indices,
@@ -64,11 +95,14 @@ def _sub(field: FieldSpec, a, b) -> list:
 
 
 def _mul(field: FieldSpec, a, b) -> list:
-    """The schoolbook product; over a field it needs no trimming."""
+    """The product, packed over GF(2) and past _PACK_MUL_MIN over odd prime
+    fields, else by the schoolbook loop; over a field it needs no trimming."""
     if not a or not b:
         return []
     if field.q == 2:
         return _unpack(_mul2(_pack(a), _pack(b)))
+    if len(a) > _PACK_MUL_MIN < len(b) and field.k == 1:
+        return _mulp(a, b, field.p)
     add, mul = field.add, field.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -84,16 +118,19 @@ def _divmod(field: FieldSpec, a, b) -> tuple:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
-    if len(a) <= db:
+    steps = len(a) - db
+    if steps <= 0:
         return [], a
     if field.q == 2:
         quot, rem = _divmod2(_pack(a), _pack(b))
         return _unpack(quot), _unpack(rem)
+    if steps * db > _PACK_DIV_PAIRS and field.k == 1:
+        return _divmodp(a, b, field.p)
     a = list(a)
     sub, mul = field.sub, field.mul
     invlead = field.inv(b[-1])
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
+    quot = [0] * steps
+    for i in range(steps - 1, -1, -1):
         c = a[i + db]
         if c:
             if invlead != 1:
@@ -179,6 +216,85 @@ def _divmod2(a: int, b: int) -> tuple:
         quot |= 1 << s
         a ^= b << s
     return quot, a
+
+
+# Odd prime fields: a coefficient list packed into one int of fixed-width
+# byte slots, slot i holding the coefficient of x^i, possibly unreduced.
+
+_TYPECODES = {array(t).itemsize: t for t in "BHIQ"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for values up to bound >= 1: 1, 2, 4 or 8, whose
+    arrays convert in C, or else as many as bound needs."""
+    n = (bound.bit_length() + 7) // 8
+    return n if n > 8 else 1 << (n - 1).bit_length()
+
+
+def _pack_slots(a, w: int) -> int:
+    """The coefficients a, each below 2^(8 w), in slots of w bytes."""
+    tc = _TYPECODES.get(w)
+    if tc is None:
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a),
+                              "little")
+    arr = array(tc, a)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return int.from_bytes(arr, "little")
+
+
+def _unpack_slots(x: int, n: int, w: int, p: int) -> list:
+    """The n slots of width w in x, each reduced modulo p."""
+    data = x.to_bytes(n * w, "little")
+    tc = _TYPECODES.get(w)
+    if tc is None:
+        return [int.from_bytes(data[i:i + w], "little") % p
+                for i in range(0, n * w, w)]
+    arr = array(tc, data)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return [c % p for c in arr]
+
+
+def _mulp(a, b, p: int) -> list:
+    """The product of nonzero a and b over GF(p): one multiply of the
+    packed operands, whose slots hold sums of min(len a, len b) products."""
+    w = _slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
+    x = _pack_slots(a, w)
+    return _unpack_slots(x * (x if a is b else _pack_slots(b, w)),
+                         len(a) + len(b) - 1, w, p)
+
+
+def _divmodp(a, b, p: int) -> tuple:
+    """(quotient, remainder) of a by b over GF(p), len(a) >= len(b), by
+    long division on packed a with lazy reduction.  Step i reads the top
+    slot s, removes it and adds (p - c) mod p times b less its leading term,
+    shifted by i, for c = s * lead^-1 mod p: nothing is subtracted below the
+    top, so no borrow crosses a slot, and a slot gets at most
+    min(steps, deg b) such terms of at most (p - 1)^2 each."""
+    db = len(b) - 1
+    steps = len(a) - db
+    w = _slot_bytes(p - 1 + min(steps, db) * (p - 1) ** 2)
+    bits = 8 * w
+    x = _pack_slots(a, w)
+    low = _pack_slots(b[:db], w)
+    inv = pow(b[-1], p - 2, p)
+    quot = [0] * steps
+    for i in range(steps - 1, -1, -1):
+        top = x >> bits * (i + db)
+        c = top * inv % p
+        quot[i] = c
+        x += (-c % p * low - (top << bits * db)) << bits * i
+    return quot, _trim(_unpack_slots(x, db, w, p))
+
+
+def _row_combiner(p: int, rows):
+    """h -> sum_j h[j] * rows[j] over GF(p), for len(h) <= len(rows), with
+    the rows packed once: multiply-adds of packed ints and one unpack."""
+    w = _slot_bytes(len(rows) * (p - 1) ** 2)
+    packed = [_pack_slots(r, w) for r in rows]
+    n = len(rows[0])
+    return lambda h: _unpack_slots(sum(map(operator.mul, h, packed)), n, w, p)
 
 
 def _derivative(field: FieldSpec, a) -> list:

@@ -7,7 +7,6 @@ import sys
 import textwrap
 import threading
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -395,8 +394,7 @@ def test_verify_partition_counts_once_per_type(monkeypatch):
 
     monkeypatch.setattr(factor, "_edf_split",
                         counted("split", factor._edf_split))
-    monkeypatch.setattr(factor, "random", SimpleNamespace(
-        Random=counted("rng", random.Random)))
+    monkeypatch.setattr(random, "Random", counted("rng", random.Random))
     monkeypatch.setattr(census_mod, "_count_from_type",
                         counted("count", census_mod._count_from_type))
     assert mc.verify_partition(F3, 4).equal

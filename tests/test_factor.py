@@ -2,7 +2,6 @@
 necklace count of monic irreducibles, cross-checked by exhaustive scans."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -238,6 +237,16 @@ def test_distinct_degree_matches_the_powmod_loop():
         for f in other:
             assert next(factor._distinct_degree(field, f)) == \
                 next(_powmod_distinct_degree(field, f))
+    # at degree 80 over GF(101), Q's construction, its packed steps and the
+    # gcds all run past the kernel's packing crossover
+    for _ in range(3):
+        f = rand_poly(F101, 80, rng)
+        got = factor._distinct_degree(F101, f.coeff_indices)
+        want = _powmod_distinct_degree(F101, f.coeff_indices)
+        if f.gcd(f.derivative()).degree == 0:
+            assert list(got) == list(want)
+        else:
+            assert next(got) == next(want)
 
 
 def test_distinct_degree_powmods_once_past_gf2(monkeypatch):
@@ -305,7 +314,7 @@ def test_factorize_raises_on_a_false_distinct_degree_split(capsys,
             return super().randrange(*args)
 
     d = 1
-    monkeypatch.setattr(factor, "random", SimpleNamespace(Random=Counted))
+    monkeypatch.setattr(random, "Random", Counted)
     monkeypatch.setattr(factor, "_distinct_degree",
                         lambda field, v: iter([(d, v)]))
     # irreducibles reported as products of linear factors split on no draw

@@ -425,3 +425,81 @@ def test_gf2_kernel_edge_cases():
             _pow(F2, a, 2, [])
     for b in (one, x, x10):
         assert _divmod(F2, [], b) == ([], [])
+
+
+# A schoolbook oracle for GF(p)[x], p an odd prime, on plain ints reduced
+# with % p after every operation: the reference for the kernel's packed
+# odd-p path, sharing none of it.
+
+def _school_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trimmed(out)
+
+
+def _school_divmod(a, b, p):
+    rem, db = list(a), len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = rem[i + db] * inv % p
+        quot[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * y) % p
+    return _trimmed(quot), _trimmed(rem[:db])
+
+
+def _school_gcd(a, b, p):
+    while b:
+        a, b = b, _school_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], p - 2, p)
+    return [x * inv % p for x in a]
+
+
+def _school_pow(a, e, p, mod=None):
+    out = [1] if mod is None else _school_divmod([1], mod, p)[1]
+    for _ in range(e):
+        out = _school_mul(out, a, p)
+        if mod is not None:
+            out = _school_divmod(out, mod, p)[1]
+    return out
+
+
+def _rand_p(rng, p, top):
+    """A random coefficient list over GF(p) of length 0..top, not monic."""
+    n = rng.randrange(top + 1)
+    return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)] \
+        if n else []
+
+
+def test_odd_prime_kernel_matches_schoolbook_oracle():
+    rng = make_rng(37)
+    for p in (3, 5, 31, 101, 65521, 4294967311):
+        field = mc.make_field(p, max_order=p)
+        top = [p - 1] * 120  # every slot at its largest load
+        cases = [(top, top), (top, top[:60]), (top[:60], top),
+                 ([], top), (top, [p - 1]), (top[:5], top[:9])]
+        for _ in range(24):
+            a, b = _rand_p(rng, p, 120), _rand_p(rng, p, 120)
+            # a dividend shorter than its divisor, and a constant divisor
+            cases += [(a, b), (b, a), (a, _trimmed(b[:1]))]
+        for a, b in cases:
+            args = [list(a), tuple(b)]
+            assert _mul(field, a, tuple(b)) == _school_mul(a, b, p)
+            assert _mul(field, a, a) == _school_mul(a, a, p)
+            assert _gcd(field, a, b) == _school_gcd(a, b, p)
+            if b:
+                assert _divmod(field, a, tuple(b)) == _school_divmod(a, b, p)
+                e = rng.randrange(6)
+                mod = _trimmed(b[:40]) or b
+                assert _pow(field, a, e, mod) == _school_pow(a, e, p, mod)
+            with pytest.raises(ZeroDivisionError):
+                _divmod(field, a, [])
+            e, short = rng.randrange(3), _trimmed(a[:40])
+            assert _pow(field, short, e) == _school_pow(short, e, p)
+            # no kernel function changes its arguments
+            assert args == [a, tuple(b)]

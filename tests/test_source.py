@@ -64,16 +64,29 @@ def test_each_shared_kernel_has_one_home():
     # the lower bound that refuses a budget without computing b^e lives in
     # errors.within_budget, square-and-multiply in field.power, and the
     # polynomial product and division loops, with the GF(2) bit-spread
-    # square and shift-and-XOR reduction, in the list kernel of poly.py; the
-    # linear combination of vectors, which factor's Frobenius step h Q also
-    # takes, in matrix._combine
+    # square and shift-and-XOR reduction and the odd-p slot packing, in the
+    # list kernel of poly.py; the linear combination of vectors, which
+    # factor's Frobenius step h Q takes over extension fields, in
+    # matrix._combine
     homes = {"bit_length() + 64": ["errors.py"], "e >>= 1": ["field.py"],
              "out[i + j] = add(": ["poly.py"], "for j in range(db)": ["poly.py"],
              '"0".join(': ["poly.py"], "^= b << ": ["poly.py"],
+             "from_bytes(": ["poly.py"], "to_bytes(": ["poly.py"],
              "out[t] = add(out[t], mul(c, ": ["matrix.py"]}
     for needle, files in homes.items():
         assert [path.name for path, text in _sources()
                 if needle in text] == files, needle
+    # one unpack of packed slots and one lazy-reduction add; factor's
+    # Frobenius step h Q over odd prime fields calls poly._row_combiner,
+    # which unpacks through _unpack_slots like the packed product and
+    # division
+    assert _enclosing_defs("% p for c in ") == [("poly.py", "_unpack_slots")]
+    assert _enclosing_defs("-c % p * ") == [("poly.py", "_divmodp")]
+    assert _enclosing_defs("_unpack_slots(") == [
+        ("poly.py", "_unpack_slots"), ("poly.py", "_mulp"),
+        ("poly.py", "_divmodp"), ("poly.py", "_row_combiner")]
+    assert _enclosing_defs("_row_combiner(") == [
+        ("factor.py", "_distinct_degree"), ("poly.py", "_row_combiner")]
     # the matrix-vector inner product is matrix._krylov's; the only other
     # such accumulation is Berkowitz's row i times those Krylov vectors
     assert [(path.name, text.count("add(s, mul(")) for path, text in _sources()
